@@ -6,7 +6,6 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import batch_coordinates, build_trees, locate_points
-from .mesh import boundary_vertices
 
 __all__ = [
     "ConstraintRow",
@@ -97,7 +96,7 @@ def boundary_only_constraints(domain, trees=None):
     """As :func:`all_vertex_constraints`, but targets only subdomain-boundary vertices."""
     if trees is None:
         trees = build_trees(domain)
-    targets = [sorted(boundary_vertices(m)) for m in domain.subdomains]
+    targets = [sorted(b) for b in domain.boundary_vertex_sets]
     return ConstraintSet(_pair_constraints(domain, trees, targets), BOUNDARY_ONLY)
 
 

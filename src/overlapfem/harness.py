@@ -1,18 +1,16 @@
 """Experiment harness: declarative configs, convergence sweeps, probes, CSV output."""
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .coupling import constraint_matrix
 from .fem import QuadratureSpec, assemble_global
 from .geometry import build_trees, locate_point, locate_points
 from .mesh import (
     DeconstructedDomain,
     MeshError,
-    boundary_vertices,
     generate_annulus,
     generate_segment,
     load_mesh,
@@ -167,9 +165,12 @@ _CONFIG_KEYS = (
 
 def _parse_float(key, raw):
     try:
-        return float(raw)
+        value = float(raw)
     except ValueError:
         raise ConfigError("%s: expected a number, got %r" % (key, raw)) from None
+    if not math.isfinite(value):
+        raise ConfigError("%s: expected a finite number, got %r" % (key, raw))
+    return value
 
 
 def _parse_int(key, raw):
@@ -538,7 +539,7 @@ def _derivative_jumps(domain, trees, report):
     jumps = []
     for a, mesh_a in enumerate(domain.subdomains):
         ua = report.subdomain_values(a)
-        for v in sorted(boundary_vertices(mesh_a)):
+        for v in sorted(domain.boundary_vertex_sets[a]):
             p = mesh_a.vertices[v]
             for b, mesh_b in enumerate(domain.subdomains):
                 if b == a:

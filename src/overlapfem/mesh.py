@@ -1,6 +1,7 @@
 """Simplicial meshes in 1D/2D/3D, test-mesh generators and the DMESH text format."""
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +58,10 @@ class SimplicialMesh:
         self.simplices = np.ascontiguousarray(self.simplices, dtype=np.int64)
         if self.vertices.ndim != 2 or self.vertices.shape[1] != self.dim:
             raise MeshError("vertices must have shape (n, %d)" % self.dim)
+        # A NaN coordinate gives a NaN measure, which passes the degeneracy test.
+        finite = np.isfinite(self.vertices).all(axis=1)
+        if not finite.all():
+            raise MeshError("vertex %d has a non-finite coordinate" % int(np.argmin(finite)))
         if self.simplices.ndim != 2 or self.simplices.shape[1] != self.dim + 1:
             raise MeshError("simplices must have shape (t, %d)" % (self.dim + 1))
         n = len(self.vertices)
@@ -157,16 +162,18 @@ class DeconstructedDomain:
         dims = {m.dim for m in self.subdomains}
         if len(dims) != 1:
             raise MeshError("subdomains have mixed dimensions %r" % sorted(dims))
-        on_boundary = {}
         for sub, vert, _ in self.dirichlet:
             if not 0 <= sub < len(self.subdomains):
                 raise MeshError("dirichlet subdomain index %d out of range" % sub)
-            if sub not in on_boundary:
-                on_boundary[sub] = boundary_vertices(self.subdomains[sub])
-            if vert not in on_boundary[sub]:
+            if vert not in self.boundary_vertex_sets[sub]:
                 raise MeshError(
                     "dirichlet vertex %d of subdomain %d is not a boundary vertex" % (vert, sub)
                 )
+
+    @cached_property
+    def boundary_vertex_sets(self):
+        """:func:`boundary_vertices` of each subdomain, computed once."""
+        return [boundary_vertices(m) for m in self.subdomains]
 
     @property
     def dim(self):

@@ -64,44 +64,46 @@ class SolveReport:
         return self.z[int(self.offsets[i]) : int(self.offsets[i + 1])]
 
 
-def _independent_rows(A):
-    """Indices of a maximal linearly independent subset of rows (dense QR)."""
-    m = A.shape[0]
-    if m == 0:
-        return np.arange(0)
-    At = np.asarray(A.todense() if sp.issparse(A) else A, dtype=float).T
-    _, R, piv = scipy.linalg.qr(At, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(R))
-    if diag.size == 0 or diag[0] == 0.0:
-        return np.arange(0)
-    tol = max(At.shape) * np.finfo(float).eps * diag[0]
-    rank = int((diag > tol).sum())
-    return np.sort(piv[:rank])
+def _distinct_rows(A):
+    """Indices of the rows of A that do not repeat an earlier row up to sign.
+
+    Reciprocal coupling rows at coincident vertices are exact negations of
+    each other, so this finds them without factorizing A.
+    """
+    A = sp.csr_matrix(A, copy=True)
+    A.eliminate_zeros()
+    A.sort_indices()
+    seen = set()
+    keep = []
+    for r in range(A.shape[0]):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        vals = A.data[lo:hi]
+        if vals.size and vals[0] < 0:
+            vals = -vals
+        key = (A.indices[lo:hi].tobytes(), vals.tobytes())
+        if key not in seen:
+            seen.add(key)
+            keep.append(r)
+    return np.array(keep, dtype=np.int64)
 
 
-# Dense least-squares rescue is only attempted below this system size.
-_DENSE_FALLBACK_LIMIT = 6000
+def _solve_linear(K, rhs, factored=None):
+    """Sparse LU solve of K x = rhs with one refinement step against K.
 
-
-def _solve_linear(K, rhs):
-    """Direct sparse solve with one refinement step; dense fallback on failure."""
+    ``factored`` (default K) is the matrix that is factorized; the refinement
+    step removes the O(eps) error of a regularized ``factored`` when K x = rhs
+    is consistent. Raises SolverError if the residual stays large.
+    """
     K = sp.csc_matrix(K)
     try:
-        lu = spla.splu(K)
+        lu = spla.splu(K if factored is None else sp.csc_matrix(factored))
         x = lu.solve(rhs)
         x += lu.solve(rhs - K @ x)
     except RuntimeError:
         x = None
     scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
     if x is None or not np.isfinite(x).all() or np.abs(K @ x - rhs).max() > 1e-7 * scale:
-        if K.shape[0] > _DENSE_FALLBACK_LIMIT:
-            raise SolverError("singular KKT system of order %d" % K.shape[0])
-        dense = K.toarray()
-        x, _, rank, _ = np.linalg.lstsq(dense, rhs, rcond=None)
-        if np.abs(dense @ x - rhs).max() > 1e-7 * scale:
-            raise SolverError(
-                "singular KKT system (rank %d of %d)" % (rank, K.shape[0])
-            )
+        raise SolverError("singular KKT system of order %d" % K.shape[0])
     return x
 
 
@@ -115,12 +117,13 @@ def _as_fixed_arrays(fixed, N):
     return idx, vals
 
 
-def solve_kkt(Q, b=None, A=None, c=None, fixed=(), reduce_constraints=True):
+def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
 
-    Fixed indices are eliminated by substitution; dependent constraint rows
-    are dropped by rank-revealing reduction before the saddle solve (their
-    consistency is verified on the reported residual).
+    Fixed indices are eliminated by substitution. Redundant constraint rows
+    make the saddle matrix singular; the solve is then retried once on a
+    factorization with a tiny -eps I multiplier block, refined against the
+    exact saddle matrix. Inconsistent rows raise :class:`SolverError`.
     """
     Q = sp.csr_matrix(Q)
     N = Q.shape[0]
@@ -145,36 +148,19 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=(), reduce_constraints=True):
     bf = b[free] - (Q[free][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
     nf = Qff.shape[0]
 
-    def attempt(kept, eps=0.0):
-        Ak = A_free[kept]
-        if Ak.shape[0]:
-            D = -eps * sp.identity(Ak.shape[0]) if eps else None
-            K = sp.bmat([[Qff, Ak.T], [Ak, D]], format="csc")
-            rhs = np.concatenate([bf, c_shift[kept]])
-        else:
-            K = Qff.tocsc()
-            rhs = bf
-        return _solve_linear(K, rhs)
-
-    # Redundant rows make the saddle matrix singular. First retry with a tiny
-    # multiplier regularization (exact for consistent duplicates, and the only
-    # rescue that scales); reduce rows by dense rank revelation as a last
-    # resort on small systems.
-    kept = np.arange(A.shape[0])
+    m = A.shape[0]
+    K = sp.bmat([[Qff, A_free.T], [A_free, None]], format="csc") if m else Qff.tocsc()
+    rhs = np.concatenate([bf, c_shift])
+    # Redundant rows make K singular. The retry factorizes K plus a tiny -eps I
+    # multiplier block, which stays nonsingular when Q is definite on null(A)
+    # (Benzi, Golub & Liesen, Acta Numerica 14, 2005, section 3).
     try:
-        x = attempt(kept)
+        x = _solve_linear(K, rhs)
     except SolverError:
-        if not reduce_constraints:
-            raise
-        qscale = float(np.abs(Qff.diagonal()).max(initial=0.0)) or 1.0
-        try:
-            x = attempt(kept, eps=1e-10 * qscale)
-        except SolverError:
-            kept = _independent_rows(A_free)
-            x = attempt(kept)
+        eps = 1e-10 * (float(np.abs(Qff.diagonal()).max(initial=0.0)) or 1.0)
+        x = _solve_linear(K, rhs, K - sp.diags(np.r_[np.zeros(nf), np.full(m, eps)]))
     u[free] = x[:nf]
-    lam = np.zeros(A.shape[0])
-    lam[kept] = x[nf:]
+    lam = x[nf:]
 
     scale = max(1.0, float(np.abs(u).max(initial=0.0)))
     feas = float(np.abs(A @ u - c).max(initial=0.0))
@@ -191,7 +177,6 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=(), reduce_constraints=True):
         constraint_residual=feas,
         stationarity_residual=stat / max(stat_scale, 1e-300),
         energy=float(0.5 * u @ (Q @ u) - b @ u),
-        dropped_rows=int(A.shape[0] - len(kept)),
     )
 
 
@@ -326,7 +311,7 @@ def solve_bilaplace(
     f = _load_vector(domain, load)
 
     cs, Avalue = coupling_for_mode(domain, "boundary_only", trees)
-    keep = _independent_rows(Avalue)
+    keep = _distinct_rows(Avalue)
     Avalue = Avalue[keep]
     cs_rows = [cs.rows[i] for i in keep]
     dropped = len(cs.rows) - len(keep)
@@ -342,57 +327,26 @@ def solve_bilaplace(
     else:
         Au = Avalue
         Az = sp.csr_matrix((0, N))
-    mu, mz = Au.shape[0], Az.shape[0]
+    mu = Au.shape[0]
 
     core = sp.bmat([[None, Lp.T], [Lp, -M]])
-    coupling_rows = sp.vstack(
-        [
-            sp.hstack([Au, sp.csr_matrix((mu, N))]),
-            sp.hstack([sp.csr_matrix((mz, N)), Az]),
-        ],
-        format="csr",
-    )
-    if mu + mz:
-        K = sp.bmat([[core, coupling_rows.T], [coupling_rows, None]], format="csc")
-    else:
-        K = core.tocsc()
-    total = K.shape[0]
-    rhs = np.zeros(total)
-    rhs[:N] = M @ f
-
+    rhs = np.concatenate([M @ f, np.zeros(N)])
     fixed = _dirichlet_fixed(domain)
     if dirichlet_laplacians:
         fixed = fixed + [
             (N + domain.global_index(s, v), val) for s, v, val in dirichlet_laplacians
         ]
-    fixed_idx, fixed_vals = _as_fixed_arrays(fixed, total)
-    freem = np.ones(total, dtype=bool)
-    freem[fixed_idx] = False
-    x = np.zeros(total)
-    x[fixed_idx] = fixed_vals
-    Kff = K[freem][:, freem]
-    rhs_f = rhs[freem] - (K[freem][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
-    x[freem] = _solve_linear(Kff, rhs_f)
-
-    u = x[:N]
-    z = x[N : 2 * N]
-    lam_u = x[2 * N : 2 * N + mu]
-    lam_z = x[2 * N + mu :]
-    resid = 0.0
-    if mu:
-        resid = max(resid, float(np.abs(Au @ u).max()))
-    if mz:
-        resid = max(resid, float(np.abs(Az @ z).max()))
-    scale = max(1.0, float(np.abs(u).max(initial=0.0)))
-    if resid > FEASIBILITY_TOL * scale:
-        raise SolverError("coupling constraints violated (residual %.3g)" % resid)
+    inner = solve_kkt(core, rhs, sp.block_diag([Au, Az]), fixed=fixed)
+    u = inner.u[:N]
+    z = inner.u[N:]
     return SolveReport(
         u=u,
         offsets=offsets,
-        multipliers=lam_u,
-        multipliers_z=lam_z,
+        multipliers=inner.multipliers[:mu],
+        multipliers_z=inner.multipliers[mu:],
         z=z,
-        constraint_residual=resid,
+        constraint_residual=inner.constraint_residual,
+        stationarity_residual=inner.stationarity_residual,
         energy=float(z @ (M @ z) - 2.0 * (u @ (M @ f))),
         constraints=cs,
         dropped_rows=dropped,
@@ -416,8 +370,8 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0, tr
     f = _load_vector(domain, load)
 
     cs, Avalue = coupling_for_mode(domain, "boundary_only", trees)
-    keep = _independent_rows(Avalue)
-    Avalue = Avalue[keep]
+    # Avalue^T is the lam_z block: dependent rows leave lam_z free, which -eps I cannot repair.
+    Avalue = Avalue[_distinct_rows(Avalue)]
     m = Avalue.shape[0]
 
     mdiag = M.diagonal()
@@ -449,7 +403,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0, tr
     A = sp.vstack([top, bottom], format="csr")
     c = np.zeros(m + nu)
     fixed = _dirichlet_fixed(domain)
-    inner = solve_kkt(Q, b, A, c, fixed=fixed, reduce_constraints=False)
+    inner = solve_kkt(Q, b, A, c, fixed=fixed)
 
     u = inner.u[:N]
     lam_z = inner.u[N : N + m]

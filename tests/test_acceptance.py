@@ -228,6 +228,26 @@ class TestConvexEquivalence:
         assert np.abs(kkt.u - convex.u).max() <= 1e-8 * scale
 
 
+class TestBilaplaceRowReduction:
+    """Reciprocal rows at coincident vertices are dropped; the rest are kept."""
+
+    def test_dropped_and_kept_rows(self):
+        oracle = TestDuplicatedMeshOracle()
+        make_box, box_pins = oracle.cases()[1]
+        _, dup_box = oracle.single_and_duplicated(make_box, box_pins)
+        dup_box_pins = tuple((s, v, 0.0) for s in (0, 1) for v, _ in box_pins)
+        expected = {"segments": (2, 0), "duplicated": (0, 0), "boxes": (22, 10),
+                    "duplicated_box": (34, 17)}
+        configurations = bilaplace_configurations()
+        configurations.append(("duplicated_box", dup_box, dup_box_pins, 1.0))
+        for name, domain, z_pins, load in configurations:
+            kkt = solve_bilaplace(domain, QUAD, "high_order", z_pins, load=load)
+            convex = solve_bilaplace_convex(domain, QUAD, z_pins, load=load)
+            rows, dropped = expected[name]
+            assert (len(kkt.constraints.rows), kkt.dropped_rows) == (rows, dropped), name
+            assert len(convex.multipliers) == rows - dropped, name
+
+
 class TestDuplicatedMeshOracle:
     @staticmethod
     def single_and_duplicated(make_mesh, pins):

@@ -92,6 +92,20 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "scenario = seg1d_poisson\nf = nan\n",
+            "scenario = seg1d_poisson\nf = inf\n",
+            "scenario = annulus2d_laplace\nf = 0\ndirichlet_inner = nan\n",
+            "scenario = seg1d_poisson\npenalty_weights = 1,-inf\n",
+            "scenario = seg1d_poisson\ndirichlet = 0:0:nan\n",
+        ],
+    )
+    def test_rejects_non_finite_numbers(self, text):
+        with pytest.raises(ConfigError):
+            parse_config(text)
+
 
 class TestBuildScenario:
     def test_segment_geometry(self):
@@ -285,6 +299,15 @@ class TestCli:
         cfg.write_text("scenario = warp_drive\n")
         assert main(["converge", str(cfg)]) == 1
         assert main(["converge", str(tmp_path / "absent.cfg")]) == 1
+
+    def test_non_finite_input_exit_code(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\nf = nan\n")
+        assert main(["converge", str(cfg)]) == 1
+        (tmp_path / "a.dmesh").write_text("DIM 1\nVERTICES 2\n0\nnan\nSIMPLICES 1\n0 1\n")
+        (tmp_path / "b.dmesh").write_text(save_mesh(generate_segment(0.0, 1.0, 3)))
+        cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n")
+        assert main(["solve", str(cfg)]) == 1
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # pure-Neumann custom domain with a constant load: singular system

@@ -42,6 +42,14 @@ class TestSimplicialMesh:
         with pytest.raises(MeshError):
             SimplicialMesh(2, verts, np.array([[0, 1, 2]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_coordinate_rejected(self, bad):
+        verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, bad]])
+        with pytest.raises(MeshError):
+            SimplicialMesh(2, verts, np.array([[0, 1, 2]]))
+        with pytest.raises(MeshError):
+            load_mesh("DIM 1\nVERTICES 2\n0\n%r\nSIMPLICES 1\n0 1\n" % bad)
+
     def test_index_out_of_range_rejected(self):
         verts = np.array([[0.0], [1.0]])
         with pytest.raises(MeshError):
@@ -167,3 +175,9 @@ class TestDeconstructedDomain:
             DeconstructedDomain([a], [(0, 2, 1.0)])
         with pytest.raises(MeshError):
             DeconstructedDomain([a], [(1, 0, 1.0)])
+
+    def test_boundary_vertex_sets_are_computed_once(self):
+        meshes = [generate_annulus(1.0, 1.6, 2, 9), generate_disk(1.0, 3, 8)]
+        dom = DeconstructedDomain(meshes, [(0, 0, 1.0)])
+        assert dom.boundary_vertex_sets == [boundary_vertices(m) for m in meshes]
+        assert dom.boundary_vertex_sets is dom.boundary_vertex_sets

@@ -49,6 +49,13 @@ class TestSolveKkt:
         rep = solve_kkt(Q, b, A, np.array([1.0, 1.0, 2.0]))
         np.testing.assert_allclose(rep.u, [0.0, 1.0], atol=1e-9)
 
+    def test_reciprocal_rows_match_a_single_row(self):
+        Q = sp.diags([2.0, 2.0])
+        b = np.array([2.0, 4.0])
+        one = solve_kkt(Q, b, sp.csr_matrix(np.array([[1.0, -1.0]])))
+        two = solve_kkt(Q, b, sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
+        np.testing.assert_allclose(two.u, one.u, rtol=0.0, atol=1e-12)
+
     def test_inconsistent_rows_rejected(self):
         Q = sp.diags([2.0, 2.0])
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
