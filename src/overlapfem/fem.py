@@ -1,6 +1,7 @@
 """Per-subdomain FEM assembly: gradients, overlap-adjusted volumes, stiffness and mass."""
 
 from dataclasses import dataclass
+from itertools import permutations
 
 import numpy as np
 import scipy.sparse as sp
@@ -60,8 +61,6 @@ class QuadratureSpec:
 
 def _orbit(base):
     seen = []
-    from itertools import permutations
-
     for p in permutations(base):
         if p not in seen:
             seen.append(p)
@@ -148,7 +147,7 @@ def gradient_matrix(mesh):
     )
 
 
-def _element_points(mesh, weights, bary):
+def _element_points(mesh, bary):
     """Physical quadrature points per element, nudged toward the centroid."""
     corners = mesh.vertices[mesh.simplices]  # (t, d+1, d)
     pts = np.einsum("qj,tjd->tqd", bary, corners)
@@ -177,7 +176,7 @@ def adjusted_volumes(domain, k, quad, trees=None):
             )
         return measures * (1.0 / cov).mean(axis=1)
     weights, bary = quadrature_rule(quad, d)
-    pts = _element_points(mesh, weights, bary)  # (t, q, d)
+    pts = _element_points(mesh, bary)  # (t, q, d)
     q = len(weights)
     cov = coverage_counts(domain, trees, pts.reshape(t * q, d)).reshape(t, q)
     if (cov == 0).any():

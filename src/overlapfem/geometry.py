@@ -4,12 +4,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mesh import simplex_measures
-
 __all__ = [
     "GeometryError",
     "PointLocation",
-    "AabbTree",
+    "PointLocator",
     "barycentric_coordinates",
     "locate_point",
     "locate_points",
@@ -24,7 +22,9 @@ __all__ = [
 # Barycentric containment slack, as a fraction of the mesh bbox diagonal.
 CONTAINMENT_TOL_FACTOR = 1e-10
 
-_LEAF_SIZE = 8
+# Points are matched against the centroid tree this many at a time, which
+# bounds the memory held by candidate pairs.
+_BLOCK = 16384
 
 
 class GeometryError(ValueError):
@@ -56,75 +56,53 @@ def barycentric_coordinates(simplex_vertices, p):
 
 
 def containment_tolerance(mesh):
-    """Closed-containment slack used by :func:`locate_point` for this mesh."""
+    """Barycentric slack used by :func:`locate_point` for this mesh."""
     return CONTAINMENT_TOL_FACTOR * mesh.bbox_diagonal()
 
 
-class AabbTree:
-    """Static axis-aligned bounding box tree over one mesh's simplices.
+def _kdtree(points):
+    # Imported on first use: scipy.spatial adds about 0.1 s to `import overlapfem`.
+    from scipy.spatial import cKDTree
 
-    Queries return exactly the candidates a brute-force box scan would; the
-    tree only accelerates the scan.
+    return cKDTree(points)
+
+
+class PointLocator:
+    """KD-tree over one mesh's simplex centroids plus per-simplex inverse edges.
+
+    With R the largest centroid-corner distance, a point whose barycentric
+    coordinates in a simplex are all >= -tol lies within R (1 + 2 (d+1) tol)
+    of that simplex's centroid, so a ball of that radius (plus ``tol`` for
+    rounding) gathers every simplex the barycentric check can accept.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
         corners = mesh.vertices[mesh.simplices]
-        self._lo = corners.min(axis=1)
-        self._hi = corners.max(axis=1)
-        order = np.arange(mesh.num_simplices)
-        # Nodes: (lo, hi, left, right, start, end); leaves store slices of _index.
-        self._nodes = []
-        self._index = order.copy()
-        self._build(0, mesh.num_simplices)
-        # Inverted gradients are not needed here; cache measures for validity checks.
-        self._measures = simplex_measures(mesh)
+        centroids = corners.mean(axis=1)
+        self.radius = float(np.linalg.norm(corners - centroids[:, None, :], axis=2).max())
+        self.edge_inv = np.linalg.inv(np.swapaxes(corners[:, 1:, :] - corners[:, :1, :], 1, 2))
+        self.kd = _kdtree(centroids)
 
-    def _build(self, start, end):
-        idx = self._index[start:end]
-        lo = self._lo[idx].min(axis=0)
-        hi = self._hi[idx].max(axis=0)
-        node = len(self._nodes)
-        self._nodes.append([lo, hi, -1, -1, start, end])
-        if end - start > _LEAF_SIZE:
-            centers = 0.5 * (self._lo[idx] + self._hi[idx])
-            axis = int(np.argmax(hi - lo))
-            mid = (end - start) // 2
-            part = np.argpartition(centers[:, axis], mid)
-            self._index[start:end] = idx[part]
-            left = self._build(start, start + mid)
-            right = self._build(start + mid, end)
-            self._nodes[node][2] = left
-            self._nodes[node][3] = right
-        return node
+    def candidates(self, points, tol):
+        """(point index, simplex index) pairs within the containment radius."""
+        r = self.radius * (1.0 + 2.0 * (self.mesh.dim + 1) * tol) + tol
+        pairs = _kdtree(points).sparse_distance_matrix(self.kd, r, output_type="ndarray")
+        return pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
 
-    def candidates(self, p, tol):
-        """Indices of simplices whose tol-expanded bounding box contains p."""
-        p = np.asarray(p, dtype=float)
-        out = []
-        stack = [0]
-        while stack:
-            lo, hi, left, right, start, end = self._nodes[stack.pop()]
-            if ((p < lo - tol) | (p > hi + tol)).any():
-                continue
-            if left < 0:
-                for t in self._index[start:end]:
-                    if ((p >= self._lo[t] - tol) & (p <= self._hi[t] + tol)).all():
-                        out.append(int(t))
-            else:
-                stack.append(left)
-                stack.append(right)
-        return out
+    def coordinates(self, points, simplices):
+        """Barycentric coordinates of each point in its paired simplex."""
+        first = self.mesh.vertices[self.mesh.simplices[simplices, 0]]
+        xi = np.einsum("mij,mj->mi", self.edge_inv[simplices], points - first)
+        return np.column_stack([1.0 - xi.sum(axis=1), xi])
 
 
 def _best_containing(mesh, candidate_ids, p, tol):
-    best = None
     for t in sorted(candidate_ids):
         coords = barycentric_coordinates(mesh.vertices[mesh.simplices[t]], p)
         if coords.min() >= -tol:
-            best = PointLocation(int(t), coords)
-            break
-    return best
+            return PointLocation(int(t), coords)
+    return None
 
 
 def locate_point(tree, mesh, p, tol=None):
@@ -134,35 +112,9 @@ def locate_point(tree, mesh, p, tol=None):
     """
     if tol is None:
         tol = containment_tolerance(mesh)
-    return _best_containing(mesh, tree.candidates(p, tol), p, tol)
-
-
-def _candidate_pairs(tree, points, tol):
-    """(point index, simplex index) pairs whose expanded boxes contain the point."""
-    pi_out, si_out = [], []
-    stack = [(0, np.arange(len(points)))]
-    while stack:
-        node, idx = stack.pop()
-        lo, hi, left, right, start, end = tree._nodes[node]
-        P = points[idx]
-        inside = ((P >= lo - tol) & (P <= hi + tol)).all(axis=1)
-        idx = idx[inside]
-        if len(idx) == 0:
-            continue
-        if left < 0:
-            P = points[idx]
-            for t in tree._index[start:end]:
-                hit = ((P >= tree._lo[t] - tol) & (P <= tree._hi[t] + tol)).all(axis=1)
-                sel = idx[hit]
-                if len(sel):
-                    pi_out.append(sel)
-                    si_out.append(np.full(len(sel), t, dtype=np.int64))
-        else:
-            stack.append((left, idx))
-            stack.append((right, idx))
-    if not pi_out:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    return np.concatenate(pi_out), np.concatenate(si_out)
+    p = np.asarray(p, dtype=float)
+    _, si = tree.candidates(p[None, :], tol)
+    return _best_containing(mesh, si, p, tol)
 
 
 def locate_points(tree, mesh, points, tol=None):
@@ -174,38 +126,20 @@ def locate_points(tree, mesh, points, tol=None):
     points = np.asarray(points, dtype=float)
     if tol is None:
         tol = containment_tolerance(mesh)
-    pi, si = _candidate_pairs(tree, points, tol)
     sentinel = np.iinfo(np.int64).max
     found = np.full(len(points), sentinel, dtype=np.int64)
-    if len(pi) == 0:
-        return np.full(len(points), -1, dtype=np.int64)
-    # Barycentric check for all candidate pairs at once.
-    corners = mesh.vertices[mesh.simplices[si]]  # (m, d+1, d)
-    if not hasattr(tree, "_edge_inv"):
-        allc = mesh.vertices[mesh.simplices]
-        tree._edge_inv = np.linalg.inv(
-            np.swapaxes(allc[:, 1:, :] - allc[:, :1, :], 1, 2)
-        )
-    xi = np.einsum("mij,mj->mi", tree._edge_inv[si], points[pi] - corners[:, 0, :])
-    cmin = np.minimum(xi.min(axis=1), 1.0 - xi.sum(axis=1))
-    ok = cmin >= -tol
-    np.minimum.at(found, pi[ok], si[ok])
+    for start in range(0, len(points), _BLOCK):
+        pi, si = tree.candidates(points[start : start + _BLOCK], tol)
+        pi += start
+        ok = tree.coordinates(points[pi], si).min(axis=1) >= -tol
+        np.minimum.at(found, pi[ok], si[ok])
     found[found == sentinel] = -1
     return found
 
 
 def batch_coordinates(tree, mesh, points, simplices):
     """Barycentric coordinates of each point in its paired simplex."""
-    points = np.asarray(points, dtype=float)
-    simplices = np.asarray(simplices, dtype=np.int64)
-    if not hasattr(tree, "_edge_inv"):
-        allc = mesh.vertices[mesh.simplices]
-        tree._edge_inv = np.linalg.inv(
-            np.swapaxes(allc[:, 1:, :] - allc[:, :1, :], 1, 2)
-        )
-    first = mesh.vertices[mesh.simplices[simplices, 0]]
-    xi = np.einsum("mij,mj->mi", tree._edge_inv[simplices], points - first)
-    return np.column_stack([1.0 - xi.sum(axis=1), xi])
+    return tree.coordinates(np.asarray(points, dtype=float), np.asarray(simplices, dtype=np.int64))
 
 
 def brute_force_locate(mesh, p, tol=None):
@@ -234,5 +168,5 @@ def coverage_counts(domain, trees, points):
 
 
 def build_trees(domain):
-    """One AABB tree per subdomain, in subdomain order."""
-    return [AabbTree(mesh) for mesh in domain.subdomains]
+    """One :class:`PointLocator` per subdomain, in subdomain order."""
+    return [PointLocator(mesh) for mesh in domain.subdomains]

@@ -299,7 +299,7 @@ def _segment_pair(n, bc_left, bc_right):
     return DeconstructedDomain([a, b], dirichlet)
 
 
-def _annulus_ring(n_r, n_t, ring):
+def _annulus_ring(n_t, ring):
     return range(ring * n_t, (ring + 1) * n_t)
 
 
@@ -341,8 +341,8 @@ def build_scenario(config, resolution):
         n_t = 74 * m
         a = generate_annulus(1.0, 32.0 / 17.0, 5 * m, n_t)
         b = generate_annulus(26.0 / 17.0, 2.0, 4 * m, n_t)
-        dirichlet = [(0, v, uin) for v in _annulus_ring(5 * m, n_t, 0)]
-        dirichlet += [(1, v, uout) for v in _annulus_ring(4 * m, n_t, 4 * m)]
+        dirichlet = [(0, v, uin) for v in _annulus_ring(n_t, 0)]
+        dirichlet += [(1, v, uout) for v in _annulus_ring(n_t, 4 * m)]
         domain = DeconstructedDomain([a, b], dirichlet)
 
         def reference(pts, uin=uin, uout=uout):
@@ -362,10 +362,8 @@ def build_scenario(config, resolution):
         n_t = 72 * m
         a = generate_annulus(1.0, 13.0 / 8.0, 5 * m, n_t)
         b = generate_annulus(5.0 / 4.0, 2.0, 2 * (3 * m + 1), n_t, math.pi / n_t)
-        dirichlet = [(0, v, 0.0) for v in _annulus_ring(5 * m, n_t, 0)]
-        dirichlet += [
-            (1, v, 0.0) for v in _annulus_ring(2 * (3 * m + 1), n_t, 2 * (3 * m + 1))
-        ]
+        dirichlet = [(0, v, 0.0) for v in _annulus_ring(n_t, 0)]
+        dirichlet += [(1, v, 0.0) for v in _annulus_ring(n_t, 2 * (3 * m + 1))]
         domain = DeconstructedDomain([a, b], dirichlet)
 
         def reference(pts, f=f):
@@ -417,7 +415,7 @@ def max_circumradius(mesh):
     return float(np.linalg.norm(centers, axis=1).max())
 
 
-def _solve_scenario(scenario, config):
+def _solve_scenario(scenario, config, trees):
     if scenario.kind == "bilaplace":
         return solve_bilaplace(
             scenario.domain,
@@ -425,9 +423,10 @@ def _solve_scenario(scenario, config):
             coupling=config.coupling,
             dirichlet_laplacians=scenario.z_pins,
             load=scenario.f,
+            trees=trees,
         )
     return solve_poisson(
-        scenario.domain, config.quadrature, mode=config.coupling, rhs=scenario.f
+        scenario.domain, config.quadrature, mode=config.coupling, rhs=scenario.f, trees=trees
     )
 
 
@@ -461,7 +460,7 @@ def run_convergence(config):
             "solve_status": "ok",
         }
         try:
-            report = _solve_scenario(scenario, config)
+            report = _solve_scenario(scenario, config, build_trees(scenario.domain))
         except SolverError as exc:
             row["solve_status"] = "failed: %s" % exc
         else:
@@ -571,7 +570,7 @@ def locking_probe(config):
         scenario = build_scenario(config, resolution)
         domain = scenario.domain
         trees = build_trees(domain)
-        report = _solve_scenario(scenario, config)
+        report = _solve_scenario(scenario, config, trees)
         idx, coords = _overlap_vertex_indices(domain, trees)
         if idx.size == 0:
             raise ConfigError("scenario has no overlap vertices to probe")
@@ -677,7 +676,7 @@ def run_constraints(config):
 def run_solve(config):
     """Solve at the finest resolution, returning (domain, SolveReport)."""
     scenario = build_scenario(config, config.resolutions[-1])
-    return scenario.domain, _solve_scenario(scenario, config)
+    return scenario.domain, _solve_scenario(scenario, config, build_trees(scenario.domain))
 
 
 def solution_csv(domain, report):

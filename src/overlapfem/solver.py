@@ -11,6 +11,7 @@ from .coupling import (
     ALL_VERTICES,
     BOUNDARY_ONLY,
     BOUNDARY_ONLY_THINNED,
+    ConstraintSet,
     all_vertex_constraints,
     boundary_only_constraints,
     constraint_matrix,
@@ -316,8 +317,6 @@ def solve_bilaplace(
     cs_rows = [cs.rows[i] for i in keep]
     dropped = len(cs.rows) - len(keep)
     if coupling == "low_order":
-        from .coupling import ConstraintSet
-
         Alo = _low_order_rows(domain, ConstraintSet(cs_rows, cs.mode))
         Au = sp.vstack([Avalue, Alo], format="csr")
         Az = sp.csr_matrix((0, N))

@@ -1,15 +1,21 @@
+from itertools import combinations
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapfem import (
-    AabbTree,
     DeconstructedDomain,
+    PointLocator,
     barycentric_coordinates,
     build_trees,
     coverage_count,
     generate_annulus,
     generate_disk,
     generate_segment,
+    load_mesh,
     locate_point,
 )
 from overlapfem.geometry import (
@@ -20,6 +26,9 @@ from overlapfem.geometry import (
     coverage_counts,
     locate_points,
 )
+from overlapfem.mesh import boundary_facets
+
+DATA = Path(__file__).parent / "data"
 
 
 class TestBarycentricCoordinates:
@@ -61,12 +70,13 @@ def random_points(mesh, count, seed):
         generate_annulus(1.0, 2.0, 3, 17),
         generate_disk(1.3, 4, 11, 0.3),
         generate_segment(-0.5, 2.0, 23),
+        load_mesh((DATA / "box_a.dmesh").read_text()),
     ],
-    ids=["annulus", "disk", "segment"],
+    ids=["annulus", "disk", "segment", "box"],
 )
 class TestPointLocation:
     def test_tree_matches_brute_force(self, mesh):
-        tree = AabbTree(mesh)
+        tree = PointLocator(mesh)
         pts = random_points(mesh, 10000, 11)
         found = locate_points(tree, mesh, pts)
         for p, t in zip(pts[::37], found[::37]):
@@ -87,12 +97,12 @@ class TestPointLocation:
         np.testing.assert_array_equal(found[:500], ref_ids)
 
     def test_vertices_are_located(self, mesh):
-        tree = AabbTree(mesh)
+        tree = PointLocator(mesh)
         found = locate_points(tree, mesh, mesh.vertices)
         assert (found >= 0).all()
 
     def test_batch_coordinates_match_scalar(self, mesh):
-        tree = AabbTree(mesh)
+        tree = PointLocator(mesh)
         pts = random_points(mesh, 2000, 3)
         found = locate_points(tree, mesh, pts)
         hit = found >= 0
@@ -102,15 +112,80 @@ class TestPointLocation:
             np.testing.assert_allclose(c, expected, atol=1e-10)
 
 
+def assert_matches_oracle(mesh, pts):
+    """Scalar and vectorized location both equal :func:`brute_force_locate`."""
+    tree = PointLocator(mesh)
+    found = locate_points(tree, mesh, pts)
+    for p, t in zip(pts, found):
+        ref = brute_force_locate(mesh, p)
+        loc = locate_point(tree, mesh, p)
+        if ref is None:
+            assert loc is None and t == -1
+        else:
+            assert loc.simplex == ref.simplex == t
+            np.testing.assert_array_equal(loc.coords, ref.coords)
+
+
+def facet_midpoints(mesh):
+    """Midpoints of every facet of every simplex (shared facets repeat)."""
+    faces = [mesh.simplices[:, list(f)] for f in combinations(range(mesh.dim + 1), mesh.dim)]
+    return np.concatenate([mesh.vertices[f].mean(axis=1) for f in faces])
+
+
 class TestContainmentTolerance:
     def test_slightly_outside_point_is_kept(self):
         mesh = generate_segment(0.0, 1.0, 5)
-        tree = AabbTree(mesh)
+        tree = PointLocator(mesh)
         tol = containment_tolerance(mesh)
         # the tolerance acts on barycentric coordinates: physical slack on the
         # first element (length 1/4) is tol / 4
         assert locate_point(tree, mesh, np.array([-tol / 8])) is not None
         assert locate_point(tree, mesh, np.array([-1e-3])) is None
+
+    # The slack is barycentric: on elements longer than one unit it reaches
+    # farther than the same number in physical units.
+    def test_long_segment_matches_brute_force(self):
+        mesh = generate_segment(0.0, 100.0, 3)
+        tol = containment_tolerance(mesh)
+        assert brute_force_locate(mesh, np.array([-tol * 25])) is not None
+        assert_matches_oracle(mesh, np.array([[-tol * 25]]))
+
+    def test_large_disk_facet_midpoints_match_brute_force(self):
+        mesh = generate_disk(50.0, 2, 7)
+        mid = mesh.vertices[np.array(sorted(boundary_facets(mesh)))].mean(axis=1)
+        outside = mid * (1.0 + 10.0 * containment_tolerance(mesh) / 50.0)
+        assert_matches_oracle(mesh, outside)
+
+
+MESHES = st.one_of(
+    st.builds(
+        generate_annulus,
+        st.floats(0.1, 10.0),
+        st.floats(10.5, 60.0),
+        st.integers(1, 3),
+        st.integers(3, 12),
+        st.floats(0.0, 1.0),
+    ),
+    st.builds(
+        generate_disk,
+        st.floats(0.01, 60.0),
+        st.integers(1, 3),
+        st.integers(3, 12),
+        st.floats(0.0, 1.0),
+        st.tuples(st.floats(-50.0, 50.0), st.floats(-50.0, 50.0)),
+    ),
+    st.builds(lambda a, length, n: generate_segment(a, a + length, n),
+              st.floats(-50.0, 50.0), st.floats(0.01, 200.0), st.integers(2, 12)),
+)
+
+
+@settings(max_examples=40)
+@given(mesh=MESHES, seed=st.integers(0, 2**32 - 1))
+def test_locator_matches_brute_force_property(mesh, seed):
+    # Vertices and facet midpoints lie in several closed simplices, so they
+    # exercise the lowest-index tie-break.
+    pts = np.concatenate([random_points(mesh, 40, seed), mesh.vertices, facet_midpoints(mesh)])
+    assert_matches_oracle(mesh, pts)
 
 
 class TestCoverage:
