@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import batch_coordinates, build_trees, locate_points
+from .geometry import batch_coordinates, locate_points
 
 __all__ = [
     "ConstraintRow",
@@ -49,7 +49,7 @@ def _pinned(domain):
     return {(sub, vert) for sub, vert, _ in domain.dirichlet}
 
 
-def _pair_constraints(domain, trees, targets_per_subdomain):
+def _pair_constraints(domain, targets_per_subdomain):
     pinned = _pinned(domain)
     K = len(domain.subdomains)
     rows = []
@@ -59,7 +59,7 @@ def _pair_constraints(domain, trees, targets_per_subdomain):
             if b == a:
                 continue
             mesh_b = domain.subdomains[b]
-            tree_b = trees[b]
+            tree_b = domain.locators[b]
             verts = np.array(
                 [v for v in targets_per_subdomain[a] if (a, v) not in pinned],
                 dtype=np.int64,
@@ -67,9 +67,9 @@ def _pair_constraints(domain, trees, targets_per_subdomain):
             if verts.size == 0:
                 continue
             pts = mesh_a.vertices[verts]
-            simplex = locate_points(tree_b, mesh_b, pts)
+            simplex = locate_points(tree_b, pts)
             hit = simplex >= 0
-            coords = batch_coordinates(tree_b, mesh_b, pts[hit], simplex[hit])
+            coords = batch_coordinates(tree_b, pts[hit], simplex[hit])
             coords = np.round(coords / _COEFF_GRID) * _COEFF_GRID
             coords[:, 0] = 1.0 - coords[:, 1:].sum(axis=1)
             for v, t, cf in zip(verts[hit], simplex[hit], coords):
@@ -84,20 +84,16 @@ def _pair_constraints(domain, trees, targets_per_subdomain):
     return rows
 
 
-def all_vertex_constraints(domain, trees=None):
+def all_vertex_constraints(domain):
     """One row per ordered subdomain pair and vertex of one mesh inside the other."""
-    if trees is None:
-        trees = build_trees(domain)
     targets = [range(m.num_vertices) for m in domain.subdomains]
-    return ConstraintSet(_pair_constraints(domain, trees, targets), ALL_VERTICES)
+    return ConstraintSet(_pair_constraints(domain, targets), ALL_VERTICES)
 
 
-def boundary_only_constraints(domain, trees=None):
+def boundary_only_constraints(domain):
     """As :func:`all_vertex_constraints`, but targets only subdomain-boundary vertices."""
-    if trees is None:
-        trees = build_trees(domain)
     targets = [sorted(b) for b in domain.boundary_vertex_sets]
-    return ConstraintSet(_pair_constraints(domain, trees, targets), BOUNDARY_ONLY)
+    return ConstraintSet(_pair_constraints(domain, targets), BOUNDARY_ONLY)
 
 
 def _involved_vertices(row):

@@ -6,7 +6,7 @@ from itertools import permutations
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import build_trees, coverage_counts
+from .geometry import other_coverage_counts
 from .mesh import MeshError, simplex_measures
 
 __all__ = [
@@ -155,10 +155,12 @@ def _element_points(mesh, bary):
     return pts + _INWARD_NUDGE * (centroid - pts)
 
 
-def adjusted_volumes(domain, k, quad, trees=None):
-    """Element measures of subdomain ``k`` scaled by quadrature of 1/coverage."""
-    if trees is None:
-        trees = build_trees(domain)
+def adjusted_volumes(domain, k, quad):
+    """Element measures of subdomain ``k`` scaled by quadrature of 1/coverage.
+
+    Every quadrature point lies in its own element, so subdomain ``k`` counts
+    once without a query; only the other subdomains are searched.
+    """
     mesh = domain.subdomains[k]
     measures = simplex_measures(mesh)
     t = mesh.num_simplices
@@ -168,20 +170,12 @@ def adjusted_volumes(domain, k, quad, trees=None):
         s = quad.samples_per_element
         bary = rng.dirichlet(np.ones(d + 1), size=(t, s))  # (t, s, d+1)
         pts = np.einsum("tsj,tjd->tsd", bary, mesh.vertices[mesh.simplices])
-        cov = coverage_counts(domain, trees, pts.reshape(t * s, d)).reshape(t, s)
-        if (cov == 0).any():
-            e = int(np.argmax((cov == 0).any(axis=1)))
-            raise MeshError(
-                "quadrature point of subdomain %d element %d not covered" % (k, e)
-            )
+        cov = 1 + other_coverage_counts(domain, k, pts.reshape(t * s, d)).reshape(t, s)
         return measures * (1.0 / cov).mean(axis=1)
     weights, bary = quadrature_rule(quad, d)
     pts = _element_points(mesh, bary)  # (t, q, d)
     q = len(weights)
-    cov = coverage_counts(domain, trees, pts.reshape(t * q, d)).reshape(t, q)
-    if (cov == 0).any():
-        e = int(np.argmax((cov == 0).any(axis=1)))
-        raise MeshError("quadrature point of subdomain %d element %d not covered" % (k, e))
+    cov = 1 + other_coverage_counts(domain, k, pts.reshape(t * q, d)).reshape(t, q)
     return measures * ((1.0 / cov) @ weights)
 
 
@@ -207,17 +201,15 @@ def lumped_mass_matrix(mesh, a):
     return sp.diags(diag).tocsr()
 
 
-def assemble_global(domain, quad, trees=None):
+def assemble_global(domain, quad):
     """Block-diagonal stiffness and mass over all subdomains.
 
     Returns (L, M, offsets) where offsets[i] is the global row of subdomain
     i's vertex 0 (length K+1; offsets[-1] is the total vertex count).
     """
-    if trees is None:
-        trees = build_trees(domain)
     Ls, Ms = [], []
     for k, mesh in enumerate(domain.subdomains):
-        a = adjusted_volumes(domain, k, quad, trees)
+        a = adjusted_volumes(domain, k, quad)
         Ls.append(stiffness_matrix(mesh, a))
         Ms.append(lumped_mass_matrix(mesh, a))
     L = sp.block_diag(Ls, format="csr")

@@ -15,6 +15,7 @@ __all__ = [
     "brute_force_locate",
     "coverage_count",
     "coverage_counts",
+    "other_coverage_counts",
     "containment_tolerance",
     "build_trees",
 ]
@@ -105,19 +106,20 @@ def _best_containing(mesh, candidate_ids, p, tol):
     return None
 
 
-def locate_point(tree, mesh, p, tol=None):
-    """Find a simplex containing ``p`` (closed containment, lowest index wins).
+def locate_point(tree, p, tol=None):
+    """Find a simplex of ``tree.mesh`` containing ``p`` (closed containment,
+    lowest index wins).
 
     Returns None when no simplex contains the point within tolerance.
     """
     if tol is None:
-        tol = containment_tolerance(mesh)
+        tol = containment_tolerance(tree.mesh)
     p = np.asarray(p, dtype=float)
     _, si = tree.candidates(p[None, :], tol)
-    return _best_containing(mesh, si, p, tol)
+    return _best_containing(tree.mesh, si, p, tol)
 
 
-def locate_points(tree, mesh, points, tol=None):
+def locate_points(tree, points, tol=None):
     """Vectorized :func:`locate_point` over many points.
 
     Returns an int array of containing simplex indices (-1 where none), with
@@ -125,7 +127,7 @@ def locate_points(tree, mesh, points, tol=None):
     """
     points = np.asarray(points, dtype=float)
     if tol is None:
-        tol = containment_tolerance(mesh)
+        tol = containment_tolerance(tree.mesh)
     sentinel = np.iinfo(np.int64).max
     found = np.full(len(points), sentinel, dtype=np.int64)
     for start in range(0, len(points), _BLOCK):
@@ -137,7 +139,7 @@ def locate_points(tree, mesh, points, tol=None):
     return found
 
 
-def batch_coordinates(tree, mesh, points, simplices):
+def batch_coordinates(tree, points, simplices):
     """Barycentric coordinates of each point in its paired simplex."""
     return tree.coordinates(np.asarray(points, dtype=float), np.asarray(simplices, dtype=np.int64))
 
@@ -149,24 +151,29 @@ def brute_force_locate(mesh, p, tol=None):
     return _best_containing(mesh, range(mesh.num_simplices), p, tol)
 
 
-def coverage_count(domain, trees, p):
+def coverage_count(domain, p):
     """Number of subdomains whose mesh contains ``p`` (closed containment)."""
-    count = 0
-    for mesh, tree in zip(domain.subdomains, trees):
-        if locate_point(tree, mesh, p) is not None:
-            count += 1
-    return count
+    return sum(locate_point(tree, p) is not None for tree in domain.locators)
 
 
-def coverage_counts(domain, trees, points):
+def coverage_counts(domain, points):
     """Vector of coverage counts for many points."""
+    return other_coverage_counts(domain, None, points)
+
+
+def other_coverage_counts(domain, k, points):
+    """Number of subdomains other than ``k`` (None: any) whose mesh contains each point."""
     points = np.asarray(points, dtype=float)
     counts = np.zeros(len(points), dtype=np.int64)
-    for mesh, tree in zip(domain.subdomains, trees):
-        counts += locate_points(tree, mesh, points) >= 0
+    for b, tree in enumerate(domain.locators):
+        if b != k:
+            counts += locate_points(tree, points) >= 0
     return counts
 
 
 def build_trees(domain):
-    """One :class:`PointLocator` per subdomain, in subdomain order."""
+    """One :class:`PointLocator` per subdomain, in subdomain order.
+
+    Called once per domain by ``DeconstructedDomain.locators``.
+    """
     return [PointLocator(mesh) for mesh in domain.subdomains]

@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 
 from .fem import QuadratureSpec, assemble_global
-from .geometry import build_trees, locate_point, locate_points
+from .geometry import locate_point, other_coverage_counts
 from .mesh import (
     DeconstructedDomain,
     MeshError,
@@ -19,6 +19,7 @@ from .solver import (
     BILAPLACE_COUPLINGS,
     COUPLING_MODES,
     SolverError,
+    _dirichlet_fixed,
     constrained_modes,
     coupling_for_mode,
     solve_bilaplace,
@@ -415,7 +416,7 @@ def max_circumradius(mesh):
     return float(np.linalg.norm(centers, axis=1).max())
 
 
-def _solve_scenario(scenario, config, trees):
+def _solve_scenario(scenario, config):
     if scenario.kind == "bilaplace":
         return solve_bilaplace(
             scenario.domain,
@@ -423,11 +424,8 @@ def _solve_scenario(scenario, config, trees):
             coupling=config.coupling,
             dirichlet_laplacians=scenario.z_pins,
             load=scenario.f,
-            trees=trees,
         )
-    return solve_poisson(
-        scenario.domain, config.quadrature, mode=config.coupling, rhs=scenario.f, trees=trees
-    )
+    return solve_poisson(scenario.domain, config.quadrature, mode=config.coupling, rhs=scenario.f)
 
 
 def _linf_error(scenario, report):
@@ -460,7 +458,7 @@ def run_convergence(config):
             "solve_status": "ok",
         }
         try:
-            report = _solve_scenario(scenario, config, build_trees(scenario.domain))
+            report = _solve_scenario(scenario, config)
         except SolverError as exc:
             row["solve_status"] = "failed: %s" % exc
         else:
@@ -509,17 +507,12 @@ class ProbeReport:
     jumps: list  # (subdomain, vertex, position, |slope jump|) per overlap boundary vertex
 
 
-def _overlap_vertex_indices(domain, trees):
+def _overlap_vertex_indices(domain):
     """Global indices and coordinates of vertices covered by another subdomain."""
     idx, coords = [], []
-    K = len(domain.subdomains)
-    for a in range(K):
-        pts = domain.subdomains[a].vertices
-        inside = np.zeros(len(pts), dtype=bool)
-        for b in range(K):
-            if b != a:
-                inside |= locate_points(trees[b], domain.subdomains[b], pts) >= 0
-        which = np.nonzero(inside)[0]
+    for a, mesh in enumerate(domain.subdomains):
+        pts = mesh.vertices
+        which = np.nonzero(other_coverage_counts(domain, a, pts) > 0)[0]
         idx.append(which + int(domain.offsets[a]))
         coords.append(pts[which])
     return np.concatenate(idx), np.concatenate(coords)
@@ -533,7 +526,7 @@ def _one_sided_slope(mesh, values, vertex):
     )
 
 
-def _derivative_jumps(domain, trees, report):
+def _derivative_jumps(domain, report):
     """1D slope mismatch at each subdomain-boundary vertex inside another mesh."""
     jumps = []
     for a, mesh_a in enumerate(domain.subdomains):
@@ -543,7 +536,7 @@ def _derivative_jumps(domain, trees, report):
             for b, mesh_b in enumerate(domain.subdomains):
                 if b == a:
                     continue
-                loc = locate_point(trees[b], mesh_b, p)
+                loc = locate_point(domain.locators[b], p)
                 if loc is None:
                     continue
                 ub = report.subdomain_values(b)
@@ -569,9 +562,8 @@ def locking_probe(config):
     for resolution in config.resolutions:
         scenario = build_scenario(config, resolution)
         domain = scenario.domain
-        trees = build_trees(domain)
-        report = _solve_scenario(scenario, config, trees)
-        idx, coords = _overlap_vertex_indices(domain, trees)
+        report = _solve_scenario(scenario, config)
+        idx, coords = _overlap_vertex_indices(domain)
         if idx.size == 0:
             raise ConfigError("scenario has no overlap vertices to probe")
         values = report.u[idx]
@@ -579,7 +571,7 @@ def locking_probe(config):
         fit, *_ = np.linalg.lstsq(X, values, rcond=None)
         resid = float(np.abs(values - X @ fit).max())
         span = float(report.u.max() - report.u.min())
-        jumps = _derivative_jumps(domain, trees, report) if domain.dim == 1 else []
+        jumps = _derivative_jumps(domain, report) if domain.dim == 1 else []
         reports.append(
             ProbeReport(
                 h=max(max_circumradius(m) for m in domain.subdomains),
@@ -623,11 +615,10 @@ def run_penalty_sweep(config):
         raise ConfigError("custom scenarios have no closed-form reference")
     scenario = build_scenario(config, config.resolutions[-1])
     domain = scenario.domain
-    trees = build_trees(domain)
-    L, M, _ = assemble_global(domain, config.quadrature, trees)
-    _, C = coupling_for_mode(domain, config.coupling, trees)
+    L, M, _ = assemble_global(domain, config.quadrature)
+    _, C = coupling_for_mode(domain, config.coupling)
     b = M @ np.full(domain.total_vertices, scenario.f)
-    fixed = [(domain.global_index(s, v), val) for s, v, val in domain.dirichlet]
+    fixed = _dirichlet_fixed(domain)
     exact = scenario.reference(domain.stacked_vertices())
     rows = []
     for omega in config.penalty_weights:
@@ -648,10 +639,9 @@ def run_modes(config):
     """First ``num_modes`` constrained eigenvalues at the finest resolution."""
     scenario = build_scenario(config, config.resolutions[-1])
     domain = scenario.domain
-    trees = build_trees(domain)
-    L, M, _ = assemble_global(domain, config.quadrature, trees)
+    L, M, _ = assemble_global(domain, config.quadrature)
     mode = config.coupling if config.coupling in COUPLING_MODES else "boundary_only"
-    _, A = coupling_for_mode(domain, mode, trees)
+    _, A = coupling_for_mode(domain, mode)
     pairs = constrained_modes(L, M, A, config.num_modes)
     return [val for val, _ in pairs]
 
@@ -676,7 +666,7 @@ def run_constraints(config):
 def run_solve(config):
     """Solve at the finest resolution, returning (domain, SolveReport)."""
     scenario = build_scenario(config, config.resolutions[-1])
-    return scenario.domain, _solve_scenario(scenario, config, build_trees(scenario.domain))
+    return scenario.domain, _solve_scenario(scenario, config)
 
 
 def solution_csv(domain, report):

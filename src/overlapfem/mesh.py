@@ -6,6 +6,8 @@ from itertools import combinations
 
 import numpy as np
 
+from .geometry import build_trees
+
 __all__ = [
     "MeshError",
     "ParseError",
@@ -174,6 +176,12 @@ class DeconstructedDomain:
     def boundary_vertex_sets(self):
         """:func:`boundary_vertices` of each subdomain, computed once."""
         return [boundary_vertices(m) for m in self.subdomains]
+
+    @cached_property
+    def locators(self):
+        """One :class:`~overlapfem.geometry.PointLocator` per subdomain, built on
+        first use and shared by assembly, coupling and the harness probes."""
+        return build_trees(self)
 
     @property
     def dim(self):

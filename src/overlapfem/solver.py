@@ -18,7 +18,6 @@ from .coupling import (
     thin_constraints,
 )
 from .fem import assemble_global
-from .geometry import build_trees
 
 __all__ = [
     "SolverError",
@@ -181,21 +180,19 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     )
 
 
-def coupling_for_mode(domain, mode, trees=None):
+def coupling_for_mode(domain, mode):
     """Constraint set and materialized matrix for a coupling mode."""
     if mode not in COUPLING_MODES:
         raise ValueError("unknown coupling mode %r" % (mode,))
-    if trees is None:
-        trees = build_trees(domain)
     N = domain.total_vertices
     if mode == "none":
         cs = None
         Amat = sp.csr_matrix((0, N))
     elif mode == ALL_VERTICES:
-        cs = all_vertex_constraints(domain, trees)
+        cs = all_vertex_constraints(domain)
         Amat = constraint_matrix(cs, domain.offsets, N)
     else:
-        cs = boundary_only_constraints(domain, trees)
+        cs = boundary_only_constraints(domain)
         if mode == BOUNDARY_ONLY_THINNED:
             cs = thin_constraints(cs)
         Amat = constraint_matrix(cs, domain.offsets, N)
@@ -216,20 +213,24 @@ def _dirichlet_fixed(domain):
     return [(domain.global_index(s, v), val) for s, v, val in domain.dirichlet]
 
 
-def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0, trees=None):
-    """Dirichlet-energy minimization -laplace(u) = rhs with the given coupling mode."""
-    if trees is None:
-        trees = build_trees(domain)
-    L, M, offsets = assemble_global(domain, quad, trees)
-    cs, Amat = coupling_for_mode(domain, mode, trees)
+def _coupled_solve(domain, quad, mode, rhs, form):
+    """Minimize the quadratic form ``form(L, M)`` against load M rhs, coupled by
+    ``mode``, with the domain's Dirichlet values."""
+    L, M, offsets = assemble_global(domain, quad)
+    cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
-    report = solve_kkt(L, M @ f, Amat, fixed=_dirichlet_fixed(domain))
+    report = solve_kkt(form(L, M), M @ f, Amat, fixed=_dirichlet_fixed(domain))
     report.offsets = offsets
     report.constraints = cs
     return report
 
 
-def implicit_step(domain, quad, mode, alpha, u0, rhs=None, trees=None):
+def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0):
+    """Dirichlet-energy minimization -laplace(u) = rhs with the given coupling mode."""
+    return _coupled_solve(domain, quad, mode, rhs, lambda L, M: L)
+
+
+def implicit_step(domain, quad, mode, alpha, u0, rhs=None):
     """One implicit step (M + alpha L) u = M rhs with coupling and Dirichlet data.
 
     alpha is dt for a heat step; for a wave step pass alpha = dt**2 and
@@ -237,17 +238,9 @@ def implicit_step(domain, quad, mode, alpha, u0, rhs=None, trees=None):
     """
     if alpha <= 0:
         raise ValueError("alpha must be positive")
-    if trees is None:
-        trees = build_trees(domain)
-    L, M, offsets = assemble_global(domain, quad, trees)
-    cs, Amat = coupling_for_mode(domain, mode, trees)
     if rhs is None:
         rhs = u0
-    f = _load_vector(domain, rhs)
-    report = solve_kkt(M + alpha * L, M @ f, Amat, fixed=_dirichlet_fixed(domain))
-    report.offsets = offsets
-    report.constraints = cs
-    return report
+    return _coupled_solve(domain, quad, mode, rhs, lambda L, M: M + alpha * L)
 
 
 def _one_sided_gradient_row(mesh, vertex, offset):
@@ -291,7 +284,6 @@ def solve_bilaplace(
     coupling="high_order",
     dirichlet_laplacians=None,
     load=0.0,
-    trees=None,
 ):
     """Mixed-FEM squared-Laplacian solve with auxiliary z = laplace(u).
 
@@ -304,14 +296,12 @@ def solve_bilaplace(
     """
     if coupling not in BILAPLACE_COUPLINGS:
         raise SolverError("unknown bi-Laplace coupling %r" % (coupling,))
-    if trees is None:
-        trees = build_trees(domain)
-    L, M, offsets = assemble_global(domain, quad, trees)
+    L, M, offsets = assemble_global(domain, quad)
     N = domain.total_vertices
     Lp = (-L).tocsr()
     f = _load_vector(domain, load)
 
-    cs, Avalue = coupling_for_mode(domain, "boundary_only", trees)
+    cs, Avalue = coupling_for_mode(domain, "boundary_only")
     keep = _distinct_rows(Avalue)
     Avalue = Avalue[keep]
     cs_rows = [cs.rows[i] for i in keep]
@@ -352,7 +342,7 @@ def solve_bilaplace(
     )
 
 
-def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0, trees=None):
+def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     """High-order-coupled bi-Laplace as a convex QP min ||y||^2 over (u, lam_z, y).
 
     Equality constraints: A u = 0 and L u + A^T lam_z = sqrt(M) y, with the
@@ -361,14 +351,12 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0, tr
     elimination done by :func:`solve_bilaplace`, so the two solvers agree on
     shared configurations.
     """
-    if trees is None:
-        trees = build_trees(domain)
-    L, M, offsets = assemble_global(domain, quad, trees)
+    L, M, offsets = assemble_global(domain, quad)
     N = domain.total_vertices
     Lp = (-L).tocsr()
     f = _load_vector(domain, load)
 
-    cs, Avalue = coupling_for_mode(domain, "boundary_only", trees)
+    cs, Avalue = coupling_for_mode(domain, "boundary_only")
     # Avalue^T is the lam_z block: dependent rows leave lam_z free, which -eps I cannot repair.
     Avalue = Avalue[_distinct_rows(Avalue)]
     m = Avalue.shape[0]

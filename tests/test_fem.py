@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapfem import (
     DeconstructedDomain,
@@ -17,6 +19,7 @@ from overlapfem import (
 )
 from overlapfem.fem import quadrature_rule
 from overlapfem.mesh import simplex_measures
+from test_geometry import MESHES
 
 
 def monomial_integral_triangle(a, b):
@@ -120,6 +123,23 @@ class TestAdjustedVolumes:
         # 0.25 and 0.75 are element midpoints of the other mesh, so corner
         # sampling integrates the coverage jump exactly.
         assert total == pytest.approx(1.0, abs=1e-12)
+
+    # K identical copies cover every quadrature point K times, the copy it
+    # belongs to included, so each copy carries 1/K of the single mesh.
+    @settings(max_examples=30)
+    @given(mesh=MESHES, copies=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
+    def test_copies_sum_to_single_mesh_measure(self, mesh, copies, seed):
+        dom = DeconstructedDomain([mesh] * copies)
+        measure = simplex_measures(mesh).sum()
+        for spec in (
+            QuadratureSpec.corner_average(),
+            QuadratureSpec.barycenter(),
+            QuadratureSpec.symmetric(4),
+            QuadratureSpec.symmetric(10),
+            QuadratureSpec.monte_carlo(5, seed),
+        ):
+            total = sum(adjusted_volumes(dom, k, spec).sum() for k in range(copies))
+            assert total == pytest.approx(measure, rel=1e-12)
 
 
 class TestAssembly:

@@ -10,7 +10,6 @@ from overlapfem import (
     DeconstructedDomain,
     PointLocator,
     barycentric_coordinates,
-    build_trees,
     coverage_count,
     generate_annulus,
     generate_disk,
@@ -78,10 +77,10 @@ class TestPointLocation:
     def test_tree_matches_brute_force(self, mesh):
         tree = PointLocator(mesh)
         pts = random_points(mesh, 10000, 11)
-        found = locate_points(tree, mesh, pts)
+        found = locate_points(tree, pts)
         for p, t in zip(pts[::37], found[::37]):
             ref = brute_force_locate(mesh, p)
-            loc = locate_point(tree, mesh, p)
+            loc = locate_point(tree, p)
             if ref is None:
                 assert loc is None
             else:
@@ -98,15 +97,15 @@ class TestPointLocation:
 
     def test_vertices_are_located(self, mesh):
         tree = PointLocator(mesh)
-        found = locate_points(tree, mesh, mesh.vertices)
+        found = locate_points(tree, mesh.vertices)
         assert (found >= 0).all()
 
     def test_batch_coordinates_match_scalar(self, mesh):
         tree = PointLocator(mesh)
         pts = random_points(mesh, 2000, 3)
-        found = locate_points(tree, mesh, pts)
+        found = locate_points(tree, pts)
         hit = found >= 0
-        coords = batch_coordinates(tree, mesh, pts[hit], found[hit])
+        coords = batch_coordinates(tree, pts[hit], found[hit])
         for p, t, c in list(zip(pts[hit], found[hit], coords))[::29]:
             expected = barycentric_coordinates(mesh.vertices[mesh.simplices[t]], p)
             np.testing.assert_allclose(c, expected, atol=1e-10)
@@ -115,10 +114,10 @@ class TestPointLocation:
 def assert_matches_oracle(mesh, pts):
     """Scalar and vectorized location both equal :func:`brute_force_locate`."""
     tree = PointLocator(mesh)
-    found = locate_points(tree, mesh, pts)
+    found = locate_points(tree, pts)
     for p, t in zip(pts, found):
         ref = brute_force_locate(mesh, p)
-        loc = locate_point(tree, mesh, p)
+        loc = locate_point(tree, p)
         if ref is None:
             assert loc is None and t == -1
         else:
@@ -139,8 +138,8 @@ class TestContainmentTolerance:
         tol = containment_tolerance(mesh)
         # the tolerance acts on barycentric coordinates: physical slack on the
         # first element (length 1/4) is tol / 4
-        assert locate_point(tree, mesh, np.array([-tol / 8])) is not None
-        assert locate_point(tree, mesh, np.array([-1e-3])) is None
+        assert locate_point(tree, np.array([-tol / 8])) is not None
+        assert locate_point(tree, np.array([-1e-3])) is None
 
     # The slack is barycentric: on elements longer than one unit it reaches
     # farther than the same number in physical units.
@@ -192,17 +191,15 @@ class TestCoverage:
     def test_duplicated_mesh_counts_two(self):
         mesh = generate_disk(1.0, 3, 10)
         dom = DeconstructedDomain([mesh, generate_disk(1.0, 3, 10)])
-        trees = build_trees(dom)
         inner = 0.5 * mesh.vertices[mesh.simplices].mean(axis=1)
-        counts = coverage_counts(dom, trees, inner)
+        counts = coverage_counts(dom, inner)
         assert (counts == 2).all()
 
     def test_vector_matches_scalar(self):
         a = generate_segment(0.0, 0.7, 9)
         b = generate_segment(0.3, 1.0, 8)
         dom = DeconstructedDomain([a, b])
-        trees = build_trees(dom)
         pts = np.linspace(-0.1, 1.1, 101)[:, None]
-        counts = coverage_counts(dom, trees, pts)
+        counts = coverage_counts(dom, pts)
         for p, c in zip(pts, counts):
-            assert coverage_count(dom, trees, p) == c
+            assert coverage_count(dom, p) == c

@@ -2,12 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapfem import (
     DeconstructedDomain,
     MeshError,
     ParseError,
+    PointLocator,
+    QuadratureSpec,
     SimplicialMesh,
+    assemble_global,
     boundary_vertices,
     generate_annulus,
     generate_disk,
@@ -15,9 +20,12 @@ from overlapfem import (
     load_mesh,
     save_mesh,
     simplex_measure,
+    solve_poisson,
     submesh,
 )
 from overlapfem.mesh import boundary_facets, simplex_measures
+from overlapfem.solver import coupling_for_mode
+from test_geometry import MESHES
 
 
 def inscribed_ring_area(r_in, r_out, n_t):
@@ -139,6 +147,15 @@ class TestDmeshFormat:
         np.testing.assert_array_equal(again.vertices, mesh.vertices)
         np.testing.assert_array_equal(again.simplices, mesh.simplices)
 
+    @settings(max_examples=40)
+    @given(mesh=MESHES, scale=st.floats(1e-6, 1e6))
+    def test_round_trip_property(self, mesh, scale):
+        mesh = SimplicialMesh(mesh.dim, scale * mesh.vertices, mesh.simplices)
+        again = load_mesh(save_mesh(mesh))
+        assert again.dim == mesh.dim
+        np.testing.assert_array_equal(again.vertices, mesh.vertices)
+        np.testing.assert_array_equal(again.simplices, mesh.simplices)
+
     def test_parse_errors_carry_line_numbers(self):
         good = save_mesh(generate_segment(0.0, 1.0, 3))
         with pytest.raises(ParseError):
@@ -181,3 +198,21 @@ class TestDeconstructedDomain:
         dom = DeconstructedDomain(meshes, [(0, 0, 1.0)])
         assert dom.boundary_vertex_sets == [boundary_vertices(m) for m in meshes]
         assert dom.boundary_vertex_sets is dom.boundary_vertex_sets
+
+    def test_locators_are_built_once(self, monkeypatch):
+        built = []
+        init = PointLocator.__init__
+
+        def counting_init(locator, mesh):
+            built.append(mesh)
+            init(locator, mesh)
+
+        monkeypatch.setattr(PointLocator, "__init__", counting_init)
+        meshes = [generate_segment(0.0, 0.7, 9), generate_segment(0.3, 1.0, 8)]
+        dom = DeconstructedDomain(meshes, [(0, 0, 0.0), (1, 7, 0.0)])
+        quad = QuadratureSpec.corner_average()
+        solve_poisson(dom, quad)
+        assemble_global(dom, quad)
+        coupling_for_mode(dom, "all_vertices")
+        assert len(built) == 2
+        assert dom.locators is dom.locators
