@@ -3,7 +3,6 @@
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
@@ -87,24 +86,44 @@ def _distinct_rows(A):
     return np.array(keep, dtype=np.int64)
 
 
-def _solve_linear(K, rhs, factored=None):
-    """Sparse LU solve of K x = rhs with one refinement step against K.
+def _saddle_solver(Q, A):
+    """Solver for the saddle matrix [Q A^T; A 0] on the distinct rows of A.
 
-    ``factored`` (default K) is the matrix that is factorized; the refinement
-    step removes the O(eps) error of a regularized ``factored`` when K x = rhs
-    is consistent. Raises SolverError if the residual stays large.
+    Returns ``(solve, keep)``: ``keep`` indexes the rows that
+    :func:`_distinct_rows` keeps, and ``solve(rhs)`` solves the saddle system
+    with one refinement step against the exact matrix. If the factorization
+    made at the first solve, or that solve's residual check, fails (redundant
+    rows remain), a factorization with a tiny -eps I multiplier block takes
+    over; it is nonsingular when Q is definite on null(A) (Benzi, Golub &
+    Liesen, Acta Numerica 14, 2005, section 3). A residual that stays large
+    raises :class:`SolverError`.
     """
-    K = sp.csc_matrix(K)
-    try:
-        lu = spla.splu(K if factored is None else sp.csc_matrix(factored))
-        x = lu.solve(rhs)
-        x += lu.solve(rhs - K @ x)
-    except RuntimeError:
-        x = None
-    scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-    if x is None or not np.isfinite(x).all() or np.abs(K @ x - rhs).max() > 1e-7 * scale:
+    keep = _distinct_rows(A)
+    A = A[keep]
+    K = sp.bmat([[Q, A.T], [A, None]], format="csc")
+    eps = 1e-10 * (float(np.abs(Q.diagonal()).max(initial=0.0)) or 1.0)
+    shifts = [0.0, eps]
+    lu = None
+
+    def solve(rhs):
+        nonlocal lu
+        while shifts or lu is not None:
+            if lu is None:
+                shift = np.r_[np.zeros(Q.shape[0]), np.full(len(keep), shifts.pop(0))]
+                try:
+                    lu = spla.splu(K - sp.diags(shift, format="csc") if shift.any() else K)
+                except RuntimeError:
+                    continue
+            x = lu.solve(rhs)
+            x += lu.solve(rhs - K @ x)
+            scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+            if np.isfinite(x).all() and np.abs(K @ x - rhs).max() <= 1e-7 * scale:
+                shifts.clear()
+                return x
+            lu = None
         raise SolverError("singular KKT system of order %d" % K.shape[0])
-    return x
+
+    return solve, keep
 
 
 def _as_fixed_arrays(fixed, N):
@@ -120,20 +139,16 @@ def _as_fixed_arrays(fixed, N):
 def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
 
-    Fixed indices are eliminated by substitution. Redundant constraint rows
-    make the saddle matrix singular; the solve is then retried once on a
-    factorization with a tiny -eps I multiplier block, refined against the
-    exact saddle matrix. Inconsistent rows raise :class:`SolverError`.
+    Fixed indices are eliminated by substitution, and the saddle system is
+    solved by :func:`_saddle_solver`. Rows it drops as repeats of earlier
+    rows are counted in ``dropped_rows`` and get a zero multiplier.
+    Inconsistent rows raise :class:`SolverError`.
     """
     Q = sp.csr_matrix(Q)
     N = Q.shape[0]
     b = np.zeros(N) if b is None else np.asarray(b, dtype=float)
-    if A is None:
-        A = sp.csr_matrix((0, N))
-        c = np.zeros(0)
-    else:
-        A = sp.csr_matrix(A)
-        c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=float)
+    A = sp.csr_matrix((0, N)) if A is None else sp.csr_matrix(A)
+    c = np.zeros(A.shape[0]) if c is None else np.asarray(c, dtype=float)
     fixed_idx, fixed_vals = _as_fixed_arrays(fixed, N)
 
     free = np.ones(N, dtype=bool)
@@ -141,33 +156,21 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     u = np.zeros(N)
     u[fixed_idx] = fixed_vals
 
-    A_free = A[:, free]
     c_shift = c - (A[:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
-
     Qff = Q[free][:, free]
     bf = b[free] - (Q[free][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
     nf = Qff.shape[0]
 
-    m = A.shape[0]
-    K = sp.bmat([[Qff, A_free.T], [A_free, None]], format="csc") if m else Qff.tocsc()
-    rhs = np.concatenate([bf, c_shift])
-    # Redundant rows make K singular. The retry factorizes K plus a tiny -eps I
-    # multiplier block, which stays nonsingular when Q is definite on null(A)
-    # (Benzi, Golub & Liesen, Acta Numerica 14, 2005, section 3).
-    try:
-        x = _solve_linear(K, rhs)
-    except SolverError:
-        eps = 1e-10 * (float(np.abs(Qff.diagonal()).max(initial=0.0)) or 1.0)
-        x = _solve_linear(K, rhs, K - sp.diags(np.r_[np.zeros(nf), np.full(m, eps)]))
+    solve, keep = _saddle_solver(Qff, A[:, free])
+    x = solve(np.concatenate([bf, c_shift[keep]]))
     u[free] = x[:nf]
-    lam = x[nf:]
+    lam = np.zeros(A.shape[0])
+    lam[keep] = x[nf:]
 
     scale = max(1.0, float(np.abs(u).max(initial=0.0)))
     feas = float(np.abs(A @ u - c).max(initial=0.0))
     if feas > FEASIBILITY_TOL * scale:
-        raise SolverError(
-            "infeasible fixed/constraint combination (residual %.3g)" % feas
-        )
+        raise SolverError("infeasible fixed/constraint combination (residual %.3g)" % feas)
     grad = Q @ u - b + A.T @ lam
     stat_scale = float(np.abs(b).max(initial=0.0) + np.abs(Q @ u).max(initial=0.0))
     stat = float(np.abs(grad[free]).max(initial=0.0))
@@ -177,6 +180,7 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
         constraint_residual=feas,
         stationarity_residual=stat / max(stat_scale, 1e-300),
         energy=float(0.5 * u @ (Q @ u) - b @ u),
+        dropped_rows=A.shape[0] - len(keep),
     )
 
 
@@ -256,26 +260,20 @@ def _low_order_rows(domain, cs):
     """Derivative-matching rows for 1D low-order coupling, one per value row."""
     if domain.dim != 1:
         raise SolverError("low_order coupling is only discretized for d=1")
-    N = domain.total_vertices
     offsets = domain.offsets
-    rows = []
-    for row in cs.rows:
+    data, ri, ci = [], [], []
+    for r, row in enumerate(cs.rows):
         a, i = row.target
         b, t = row.anchor
         coeffs = _one_sided_gradient_row(domain.subdomains[a], i, int(offsets[a]))
         mesh_b = domain.subdomains[b]
         j0, j1 = mesh_b.simplices[t]
         h = float(mesh_b.vertices[j1, 0] - mesh_b.vertices[j0, 0])
-        for col, val in ((int(offsets[b]) + int(j0), 1.0 / h), (int(offsets[b]) + int(j1), -1.0 / h)):
-            coeffs[col] = coeffs.get(col, 0.0) + val
-        rows.append(coeffs)
-    data, ri, ci = [], [], []
-    for r, coeffs in enumerate(rows):
-        for col, val in coeffs.items():
-            ri.append(r)
-            ci.append(col)
-            data.append(val)
-    return sp.csr_matrix((data, (ri, ci)), shape=(len(rows), N))
+        coeffs.update({int(offsets[b]) + int(j0): 1.0 / h, int(offsets[b]) + int(j1): -1.0 / h})
+        ri += [r] * len(coeffs)
+        ci += list(coeffs)
+        data += list(coeffs.values())
+    return sp.csr_matrix((data, (ri, ci)), shape=(len(cs.rows), domain.total_vertices))
 
 
 def solve_bilaplace(
@@ -384,9 +382,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     )
     b = np.concatenate([b_u, np.zeros(m), np.zeros(nu)])
     top = sp.hstack([Avalue, sp.csr_matrix((m, m + nu))])
-    bottom = sp.hstack(
-        [Lp[z_free], Avalue.T[z_free], -Msqrt_u]
-    )
+    bottom = sp.hstack([Lp[z_free], Avalue.T[z_free], -Msqrt_u])
     A = sp.vstack([top, bottom], format="csr")
     c = np.zeros(m + nu)
     fixed = _dirichlet_fixed(domain)
@@ -414,27 +410,31 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
 def constrained_modes(L, M, A, k):
     """Smallest k generalized eigenpairs of (L, M) restricted to null(A).
 
-    Dense null-space reduction; intended for desk-scale problems. Returns a
-    list of (eigenvalue, eigenvector) with eigenvectors mapped back to the
-    full space, eigenvalues nondecreasing.
+    Shift-invert Lanczos (``eigsh``) on the pencil ([L A^T; A 0], [M 0; 0 0])
+    at sigma = -tr(L) / (tr(M) N), below the spectrum and scaled with it; the
+    inverse operator is :func:`_saddle_solver` on L - sigma M (Lehoucq,
+    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, ch. 3-4). Returns a
+    list of (eigenvalue, eigenvector), eigenvalues nondecreasing. Raises
+    :class:`SolverError` unless k is below N minus the distinct rows of A.
     """
-    L = sp.csr_matrix(L)
-    M = sp.csr_matrix(M)
+    L, M = sp.csr_matrix(L), sp.csr_matrix(M)
     N = L.shape[0]
-    if A is None or A.shape[0] == 0:
-        NB = np.eye(N)
-    else:
-        Ad = A.todense() if sp.issparse(A) else np.asarray(A)
-        NB = scipy.linalg.null_space(np.asarray(Ad, dtype=float))
-    if NB.shape[1] == 0:
-        raise SolverError("constraints leave no degrees of freedom")
-    Lr = NB.T @ (L @ NB)
-    Mr = NB.T @ (M @ NB)
-    Lr = 0.5 * (Lr + Lr.T)
-    Mr = 0.5 * (Mr + Mr.T)
+    A = sp.csr_matrix((0, N)) if A is None else sp.csr_matrix(A)
+    sigma = -L.diagonal().sum() / (M.diagonal().sum() * N)
+    solve, keep = _saddle_solver(L - sigma * M, A)
+    m = len(keep)
+    if k >= N - m:
+        raise SolverError("%d modes need more than the %d degrees of freedom left" % (k, N - m))
+    # A fixed-seed random start keeps the output reproducible (all ones is the
+    # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
     try:
-        vals, vecs = scipy.linalg.eigh(Lr, Mr)
-    except scipy.linalg.LinAlgError as exc:
-        raise SolverError("reduced mass matrix is rank deficient: %s" % exc) from None
-    k = min(k, len(vals))
-    return [(float(vals[i]), NB @ vecs[:, i]) for i in range(k)]
+        vals, vecs = spla.eigsh(
+            sp.bmat([[L, A[keep].T], [A[keep], None]]), k,
+            M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
+            OPinv=spla.LinearOperator((N + m,) * 2, matvec=solve, dtype=float),
+            ncv=min(N - m, max(2 * k + 1, 20)),
+        )
+    except spla.ArpackError as exc:
+        raise SolverError("eigensolver failed: %s" % exc) from None
+    return [(float(vals[i]), vecs[:N, i]) for i in np.argsort(vals)]

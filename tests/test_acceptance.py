@@ -22,6 +22,7 @@ from overlapfem import (
     load_mesh,
     locking_probe,
     run_convergence,
+    run_modes,
     solve_bilaplace,
     solve_bilaplace_convex,
     solve_poisson,
@@ -349,6 +350,22 @@ class TestEigenmodeAgreement:
         assert abs(single[0]) < 1e-8 and abs(split[0]) < 1e-8
         rel = np.abs(split[1:] - single[1:]) / np.abs(single[1:])
         assert rel.max() <= 0.05
+
+
+class TestDefaultConfigModes:
+    """`modes` on the default annulus config (N = 52,992) runs on the sparse eigensolver."""
+
+    # Neumann eigenvalues of -laplace on 1 <= r <= 2, the union of the two
+    # annuli: k^2 for the Bessel roots k of J'_n(k) Y'_n(2k) - J'_n(2k) Y'_n(k),
+    # computed as in perfbench/reference.py. Angular orders n = 1, 2, 3, 4
+    # (each twice), then n = 5.
+    NEUMANN = [0.458784, 0.458784, 1.797214, 1.797214, 3.915955, 3.915955,
+               6.695746, 6.695746, 10.045372]
+
+    def test_default_annulus_modes(self):
+        values = run_modes(ExperimentConfig("annulus2d_poisson"))
+        assert abs(values[0]) <= 1e-8
+        np.testing.assert_allclose(values[1:10], self.NEUMANN, rtol=1e-3)
 
 
 class TestBoxMeshIngestion:

@@ -318,3 +318,14 @@ class TestCli:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n")
         assert main(["solve", str(cfg)]) == 2
+
+    def test_too_many_modes_exit_code(self, tmp_path, capsys):
+        # 12 vertices and 2 boundary-only rows leave 10 degrees of freedom.
+        for name, (a, b) in {"a": (0.0, 0.7), "b": (0.3, 1.0)}.items():
+            (tmp_path / (name + ".dmesh")).write_text(save_mesh(generate_segment(a, b, 6)))
+        cfg = tmp_path / "exp.cfg"
+        config = "scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n"
+        cfg.write_text(config + "num_modes = 9\n")
+        assert main(["modes", str(cfg)]) == 0
+        cfg.write_text(config + "num_modes = 10\n")
+        assert main(["modes", str(cfg)]) == 2

@@ -5,6 +5,7 @@ import scipy.sparse as sp
 from overlapfem import (
     DeconstructedDomain,
     QuadratureSpec,
+    SimplicialMesh,
     SolverError,
     assemble_global,
     constrained_modes,
@@ -16,6 +17,7 @@ from overlapfem import (
     solve_kkt,
     solve_poisson,
 )
+from overlapfem import solver
 from overlapfem.solver import coupling_for_mode
 
 QUAD = QuadratureSpec.corner_average()
@@ -55,6 +57,16 @@ class TestSolveKkt:
         one = solve_kkt(Q, b, sp.csr_matrix(np.array([[1.0, -1.0]])))
         two = solve_kkt(Q, b, sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
         np.testing.assert_allclose(two.u, one.u, rtol=0.0, atol=1e-12)
+
+    def test_reciprocal_rows_factorize_once(self, monkeypatch):
+        calls = []
+        splu = solver.spla.splu
+        monkeypatch.setattr(solver.spla, "splu", lambda K: calls.append(K) or splu(K))
+        A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
+        rep = solve_kkt(sp.diags([2.0, 2.0]), np.array([2.0, 4.0]), A)
+        assert len(calls) == 1
+        assert rep.dropped_rows == 1
+        assert len(rep.multipliers) == 2 and rep.multipliers[1] == 0.0
 
     def test_inconsistent_rows_rejected(self):
         Q = sp.diags([2.0, 2.0])
@@ -179,6 +191,31 @@ class TestConstrainedModes:
         L, M, _ = assemble_global(dom, QUAD)
         with pytest.raises(SolverError):
             constrained_modes(L, M, sp.eye(4, format="csr"), 2)
+
+    def test_too_few_degrees_of_freedom(self):
+        # 6 vertices and 3 unit rows leave 3 degrees of freedom: at most 2 modes.
+        dom = DeconstructedDomain([generate_segment(0.0, 1.0, 6)])
+        L, M, _ = assemble_global(dom, QUAD)
+        A = sp.eye(3, 6, format="csr")
+        assert len(constrained_modes(L, M, A, 2)) == 2
+        for k in (3, 10):
+            with pytest.raises(SolverError):
+                constrained_modes(L, M, A, k)
+
+    @staticmethod
+    def scaled_annulus_modes(s):
+        meshes = [generate_annulus(1.0, 13 / 8, 5, 72), generate_annulus(5 / 4, 2.0, 8, 72, np.pi / 72)]
+        dom = DeconstructedDomain([SimplicialMesh(2, s * m.vertices, m.simplices) for m in meshes])
+        L, M, _ = assemble_global(dom, QUAD)
+        _, A = coupling_for_mode(dom, "boundary_only")
+        return s**2 * np.array([v for v, _ in constrained_modes(L, M, A, 10)])
+
+    def test_modes_are_scale_invariant(self):
+        reference = self.scaled_annulus_modes(1.0)
+        for s in (1e-3, 1.0, 1e3):
+            values = self.scaled_annulus_modes(s)
+            assert abs(values[0]) <= 1e-8, s
+            np.testing.assert_allclose(values[1:], reference[1:], rtol=1e-9, err_msg=str(s))
 
 
 class TestCouplingForMode:
