@@ -88,7 +88,6 @@ class ExperimentConfig:
     quadrature: QuadratureSpec = None
     resolutions: tuple = None
     f: float = None
-    dt: float = None
     dirichlet_left: float = None
     dirichlet_right: float = None
     dirichlet_inner: float = None
@@ -151,7 +150,6 @@ _CONFIG_KEYS = (
     "seed",
     "resolutions",
     "f",
-    "dt",
     "dirichlet_left",
     "dirichlet_right",
     "dirichlet_inner",
@@ -246,7 +244,7 @@ def parse_config(text, base_dir=None):
         kwargs["resolutions"] = tuple(
             _parse_int("resolutions", v) for v in raw.pop("resolutions").split(",")
         )
-    for key in ("f", "dt", "dirichlet_left", "dirichlet_right", "dirichlet_inner",
+    for key in ("f", "dirichlet_left", "dirichlet_right", "dirichlet_inner",
                 "dirichlet_outer"):
         if key in raw:
             kwargs[key] = _parse_float(key, raw.pop(key))

@@ -130,21 +130,29 @@ def simplex_measure(mesh, t):
     return float(simplex_measures(mesh)[t])
 
 
-def boundary_facets(mesh):
-    """Facets (sorted d-tuples of vertex indices) incident to exactly one simplex."""
-    d = mesh.dim
+def _boundary_facet_array(mesh):
+    """Boundary facets as rows of sorted vertex indices, in lexicographic order.
+
+    Each sorted facet is keyed by one int64, v0 n^(d-1) + ... + v(d-1) with
+    n the vertex count, so a 1-D unique finds the facets used once; the key
+    order is the lexicographic row order. The key fits while n^d < 2^63.
+    """
+    d, n = mesh.dim, mesh.num_vertices
     drop = np.array(list(combinations(range(d + 1), d)), dtype=np.int64)
     facets = np.sort(mesh.simplices[:, drop].reshape(-1, d), axis=1)
-    uniq, counts = np.unique(facets, axis=0, return_counts=True)
-    return [tuple(int(v) for v in f) for f in uniq[counts == 1]]
+    keys = facets @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
+    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
+    return facets[first[counts == 1]]
+
+
+def boundary_facets(mesh):
+    """Facets (sorted d-tuples of vertex indices) incident to exactly one simplex."""
+    return [tuple(f) for f in _boundary_facet_array(mesh).tolist()]
 
 
 def boundary_vertices(mesh):
     """Set of vertex indices lying on the mesh boundary."""
-    verts = set()
-    for facet in boundary_facets(mesh):
-        verts.update(facet)
-    return verts
+    return set(np.unique(_boundary_facet_array(mesh)).tolist())
 
 
 @dataclass

@@ -32,6 +32,12 @@ __all__ = [
 
 FEASIBILITY_TOL = 1e-9
 STATIONARITY_TOL = 1e-8
+# Dual CG stops at this residual relative to its right-hand side; the
+# residual is A u - c, so it bounds the coupling rows' defect. The
+# preconditioned iteration takes about 30 steps at most on the built-in
+# scenarios and the benchmark boxes.
+DUAL_CG_RTOL = 1e-12
+DUAL_CG_MAX_ITERATIONS = 1000
 
 COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY, BOUNDARY_ONLY_THINNED)
 BILAPLACE_COUPLINGS = ("value_only", "low_order", "high_order")
@@ -55,6 +61,8 @@ class SolveReport:
     energy: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
+    path: str = None  # "saddle_lu", "saddle_lu_eps" or "dual_cg"
+    iterations: int = 0  # CG iterations; 0 off the dual path
 
     def subdomain_values(self, i):
         return self.u[int(self.offsets[i]) : int(self.offsets[i + 1])]
@@ -86,44 +94,99 @@ def _distinct_rows(A):
     return np.array(keep, dtype=np.int64)
 
 
-def _saddle_solver(Q, A):
-    """Solver for the saddle matrix [Q A^T; A 0] on the distinct rows of A.
+class _SaddleSolver:
+    """Solver for the saddle matrix [Q A^T; A 0]; the rows of A are distinct
+    (:func:`_distinct_rows`).
 
-    Returns ``(solve, keep)``: ``keep`` indexes the rows that
-    :func:`_distinct_rows` keeps, and ``solve(rhs)`` solves the saddle system
-    with one refinement step against the exact matrix. If the factorization
-    made at the first solve, or that solve's residual check, fails (redundant
-    rows remain), a factorization with a tiny -eps I multiplier block takes
-    over; it is nonsingular when Q is definite on null(A) (Benzi, Golub &
-    Liesen, Acta Numerica 14, 2005, section 3). A residual that stays large
-    raises :class:`SolverError`.
+    ``solve(rhs)`` solves the saddle system with one refinement step against
+    the exact matrix. If the factorization made at the first solve, or that
+    solve's residual check, fails (dependent rows remain), a factorization
+    with a tiny -eps I multiplier block takes over and ``path`` becomes
+    ``saddle_lu_eps``; it is nonsingular when Q is definite on null(A)
+    (Benzi, Golub & Liesen, Acta Numerica 14, 2005, section 3). A residual
+    that stays large raises :class:`SolverError`.
     """
-    keep = _distinct_rows(A)
-    A = A[keep]
-    K = sp.bmat([[Q, A.T], [A, None]], format="csc")
-    eps = 1e-10 * (float(np.abs(Q.diagonal()).max(initial=0.0)) or 1.0)
-    shifts = [0.0, eps]
-    lu = None
 
-    def solve(rhs):
-        nonlocal lu
-        while shifts or lu is not None:
-            if lu is None:
-                shift = np.r_[np.zeros(Q.shape[0]), np.full(len(keep), shifts.pop(0))]
+    def __init__(self, Q, A):
+        self.K = sp.bmat([[Q, A.T], [A, None]], format="csc")
+        self.m = A.shape[0]
+        eps = 1e-10 * (float(np.abs(Q.diagonal()).max(initial=0.0)) or 1.0)
+        self._shifts = [0.0, eps]
+        self._lu = None
+        self.path = "saddle_lu"
+
+    def solve(self, rhs):
+        K = self.K
+        while self._shifts or self._lu is not None:
+            if self._lu is None:
+                shift = self._shifts.pop(0)
+                if shift:
+                    self.path = "saddle_lu_eps"
+                    diag = np.r_[np.zeros(K.shape[0] - self.m), np.full(self.m, shift)]
+                    K = K - sp.diags(diag, format="csc")
                 try:
-                    lu = spla.splu(K - sp.diags(shift, format="csc") if shift.any() else K)
+                    self._lu = spla.splu(K)
                 except RuntimeError:
                     continue
-            x = lu.solve(rhs)
-            x += lu.solve(rhs - K @ x)
+            x = self._lu.solve(rhs)
+            x += self._lu.solve(rhs - self.K @ x)
             scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-            if np.isfinite(x).all() and np.abs(K @ x - rhs).max() <= 1e-7 * scale:
-                shifts.clear()
+            if np.isfinite(x).all() and np.abs(self.K @ x - rhs).max() <= 1e-7 * scale:
+                self._shifts.clear()
                 return x
-            lu = None
+            self._lu = None
         raise SolverError("singular KKT system of order %d" % K.shape[0])
 
-    return solve, keep
+
+def _saddle_core(Q, A, b, c):
+    """(u, multipliers, path, iterations) of the saddle system by :class:`_SaddleSolver`."""
+    saddle = _SaddleSolver(Q, A)
+    x = saddle.solve(np.concatenate([b, c]))
+    n = Q.shape[0]
+    return x[:n], x[n:], saddle.path, 0
+
+
+def _dual_core(Q, A, b, c):
+    """(u, multipliers, path, iterations) by a dual (FETI) solve; Q must be
+    symmetric positive definite.
+
+    Q is factorized on its own, so the blocks of different subdomains never
+    fill into each other. The multipliers solve S lam = A Q^-1 b - c,
+    S = A Q^-1 A^T, by CG with the scaled lumped preconditioner
+    (A A^T)^-1 A Q A^T (A A^T)^-1 (Farhat & Roux, IJNME 32, 1991; Rixen &
+    Farhat, IJNME 44, 1999); then u = Q^-1 (b - A^T lam). Dependent rows make
+    A A^T singular, and those systems go to :func:`_saddle_core`. CG that has
+    not converged in ``DUAL_CG_MAX_ITERATIONS`` raises :class:`SolverError`.
+    """
+    m = A.shape[0]
+    if m:
+        try:
+            aat = spla.splu(sp.csc_matrix(A @ A.T))
+        except RuntimeError:  # exactly singular: dependent rows
+            return _saddle_core(Q, A, b, c)
+    # Symmetric mode with a fill-reducing order on Q + Q^T keeps the
+    # subdomain blocks apart; an SPD matrix needs no pivoting.
+    lu = spla.splu(sp.csc_matrix(Q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                   options={"SymmetricMode": True})
+    y = lu.solve(b)
+    if not m:
+        return y, np.zeros(0), "dual_cg", 0
+    At = sp.csr_matrix(A.T)
+    S = spla.LinearOperator((m, m), matvec=lambda v: A @ lu.solve(At @ v), dtype=float)
+    P = spla.LinearOperator(
+        (m, m), matvec=lambda v: aat.solve(A @ (Q @ (At @ aat.solve(v)))), dtype=float
+    )
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    lam, info = spla.cg(S, A @ y - c, rtol=DUAL_CG_RTOL, maxiter=DUAL_CG_MAX_ITERATIONS,
+                        M=P, callback=count)
+    if info:
+        raise SolverError("dual_cg did not converge in %d iterations" % iterations)
+    return lu.solve(b - At @ lam), lam, "dual_cg", iterations
 
 
 def _as_fixed_arrays(fixed, N):
@@ -136,13 +199,14 @@ def _as_fixed_arrays(fixed, N):
     return idx, vals
 
 
-def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
+def _constrained_solve(Q, b, A, c, fixed, core):
     """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
 
-    Fixed indices are eliminated by substitution, and the saddle system is
-    solved by :func:`_saddle_solver`. Rows it drops as repeats of earlier
-    rows are counted in ``dropped_rows`` and get a zero multiplier.
-    Inconsistent rows raise :class:`SolverError`.
+    Fixed indices are eliminated by substitution, and rows of A that repeat
+    an earlier row up to sign are dropped: they are counted in
+    ``dropped_rows`` and get a zero multiplier. ``core(Qff, Af, bf, cf)``
+    solves the reduced problem and returns (u, multipliers, path,
+    iterations). Inconsistent rows raise :class:`SolverError`.
     """
     Q = sp.csr_matrix(Q)
     N = Q.shape[0]
@@ -159,13 +223,11 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     c_shift = c - (A[:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
     Qff = Q[free][:, free]
     bf = b[free] - (Q[free][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
-    nf = Qff.shape[0]
-
-    solve, keep = _saddle_solver(Qff, A[:, free])
-    x = solve(np.concatenate([bf, c_shift[keep]]))
-    u[free] = x[:nf]
+    Af = A[:, free]
+    keep = _distinct_rows(Af)
+    u[free], lam_keep, path, iterations = core(Qff, Af[keep], bf, c_shift[keep])
     lam = np.zeros(A.shape[0])
-    lam[keep] = x[nf:]
+    lam[keep] = lam_keep
 
     scale = max(1.0, float(np.abs(u).max(initial=0.0)))
     feas = float(np.abs(A @ u - c).max(initial=0.0))
@@ -181,7 +243,20 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
         stationarity_residual=stat / max(stat_scale, 1e-300),
         energy=float(0.5 * u @ (Q @ u) - b @ u),
         dropped_rows=A.shape[0] - len(keep),
+        path=path,
+        iterations=iterations,
     )
+
+
+def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
+    """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
+
+    Fixed indices are eliminated by substitution, and the saddle system is
+    solved by :class:`_SaddleSolver`. Rows dropped as repeats of earlier
+    rows are counted in ``dropped_rows`` and get a zero multiplier.
+    Inconsistent rows raise :class:`SolverError`.
+    """
+    return _constrained_solve(Q, b, A, c, fixed, _saddle_core)
 
 
 def coupling_for_mode(domain, mode):
@@ -217,13 +292,43 @@ def _dirichlet_fixed(domain):
     return [(domain.global_index(s, v), val) for s, v, val in domain.dirichlet]
 
 
-def _coupled_solve(domain, quad, mode, rhs, form):
-    """Minimize the quadratic form ``form(L, M)`` against load M rhs, coupled by
-    ``mode``, with the domain's Dirichlet values."""
+def _every_component_pinned(domain):
+    """True when every connected component of every subdomain mesh, taken
+    from its simplices, holds a Dirichlet vertex."""
+    from scipy.sparse.csgraph import connected_components
+
+    for s, mesh in enumerate(domain.subdomains):
+        n, d = mesh.num_vertices, mesh.dim
+        # Each simplex joins its first vertex to the others.
+        ends = (np.repeat(mesh.simplices[:, 0], d), mesh.simplices[:, 1:].ravel())
+        graph = sp.csr_matrix((np.ones(len(ends[0])), ends), shape=(n, n))
+        count, labels = connected_components(graph, directed=False)
+        pinned = labels[[v for t, v, _ in domain.dirichlet if t == s]]
+        if len(np.unique(pinned)) < count:
+            return False
+    return True
+
+
+def _coupled_solve(domain, quad, mode, rhs, alpha=None):
+    """Minimize the form L, or M + alpha L, against load M rhs, coupled by
+    ``mode``, with the domain's Dirichlet values.
+
+    The path is chosen from the form before anything is factorized. M + alpha
+    L is positive definite, and so is L when every component of every
+    subdomain mesh is pinned: those go to :func:`_dual_core`. A floating
+    subdomain leaves L singular on its constants, so it goes to the saddle
+    core, where the coupling rows make the system nonsingular.
+    """
     L, M, offsets = assemble_global(domain, quad)
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
-    report = solve_kkt(form(L, M), M @ f, Amat, fixed=_dirichlet_fixed(domain))
+    if alpha is None:
+        Q, definite = L, _every_component_pinned(domain)
+    else:
+        Q, definite = M + alpha * L, True
+    report = _constrained_solve(
+        Q, M @ f, Amat, None, _dirichlet_fixed(domain), _dual_core if definite else _saddle_core
+    )
     report.offsets = offsets
     report.constraints = cs
     return report
@@ -231,7 +336,7 @@ def _coupled_solve(domain, quad, mode, rhs, form):
 
 def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0):
     """Dirichlet-energy minimization -laplace(u) = rhs with the given coupling mode."""
-    return _coupled_solve(domain, quad, mode, rhs, lambda L, M: L)
+    return _coupled_solve(domain, quad, mode, rhs)
 
 
 def implicit_step(domain, quad, mode, alpha, u0, rhs=None):
@@ -244,7 +349,7 @@ def implicit_step(domain, quad, mode, alpha, u0, rhs=None):
         raise ValueError("alpha must be positive")
     if rhs is None:
         rhs = u0
-    return _coupled_solve(domain, quad, mode, rhs, lambda L, M: M + alpha * L)
+    return _coupled_solve(domain, quad, mode, rhs, alpha)
 
 
 def _one_sided_gradient_row(mesh, vertex, offset):
@@ -337,6 +442,7 @@ def solve_bilaplace(
         energy=float(z @ (M @ z) - 2.0 * (u @ (M @ f))),
         constraints=cs,
         dropped_rows=dropped,
+        path=inner.path,
     )
 
 
@@ -404,6 +510,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
         stationarity_residual=inner.stationarity_residual,
         energy=float(y @ y - 2.0 * (u @ (M @ f))),
         constraints=cs,
+        path=inner.path,
     )
 
 
@@ -412,7 +519,7 @@ def constrained_modes(L, M, A, k):
 
     Shift-invert Lanczos (``eigsh``) on the pencil ([L A^T; A 0], [M 0; 0 0])
     at sigma = -tr(L) / (tr(M) N), below the spectrum and scaled with it; the
-    inverse operator is :func:`_saddle_solver` on L - sigma M (Lehoucq,
+    inverse operator is :class:`_SaddleSolver` on L - sigma M (Lehoucq,
     Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, ch. 3-4). Returns a
     list of (eigenvalue, eigenvector), eigenvalues nondecreasing. Raises
     :class:`SolverError` unless k is below N minus the distinct rows of A.
@@ -421,18 +528,19 @@ def constrained_modes(L, M, A, k):
     N = L.shape[0]
     A = sp.csr_matrix((0, N)) if A is None else sp.csr_matrix(A)
     sigma = -L.diagonal().sum() / (M.diagonal().sum() * N)
-    solve, keep = _saddle_solver(L - sigma * M, A)
-    m = len(keep)
+    A = A[_distinct_rows(A)]
+    m = A.shape[0]
     if k >= N - m:
         raise SolverError("%d modes need more than the %d degrees of freedom left" % (k, N - m))
     # A fixed-seed random start keeps the output reproducible (all ones is the
     # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
+    saddle = _SaddleSolver(L - sigma * M, A)
     try:
         vals, vecs = spla.eigsh(
-            sp.bmat([[L, A[keep].T], [A[keep], None]]), k,
+            sp.bmat([[L, A.T], [A, None]]), k,
             M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
-            OPinv=spla.LinearOperator((N + m,) * 2, matvec=solve, dtype=float),
+            OPinv=spla.LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float),
             ncv=min(N - m, max(2 * k + 1, 20)),
         )
     except spla.ArpackError as exc:

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapfem import (
     DeconstructedDomain,
+    SimplicialMesh,
     all_vertex_constraints,
     boundary_only_constraints,
     constraint_matrix,
@@ -12,6 +15,7 @@ from overlapfem import (
     generate_segment,
     thin_constraints,
 )
+from test_geometry import MESHES
 
 
 def segment_pair(n=9):
@@ -74,6 +78,27 @@ class TestPrecision:
         assert np.abs(C @ np.ones(dom.total_vertices)).max() == 0.0
         for d in range(dom.dim):
             assert np.abs(C @ X[:, d]).max() <= 1e-10
+
+    @settings(max_examples=40)
+    @given(
+        mesh=MESHES,
+        shift=st.floats(0.05, 0.5),
+        scale=st.floats(0.7, 1.3),
+        builder=st.sampled_from([all_vertex_constraints, boundary_only_constraints]),
+    )
+    def test_rows_sum_to_one_and_reproduce_linears_property(self, mesh, shift, scale, builder):
+        # The second mesh is the first one scaled about its low corner and
+        # moved along its bounding-box diagonal, so the two overlap.
+        lo, hi = mesh.bbox()
+        moved = lo + scale * (mesh.vertices - lo) + shift * (hi - lo)
+        dom = DeconstructedDomain([mesh, SimplicialMesh(mesh.dim, moved, mesh.simplices)])
+        cs = builder(dom)
+        for row in cs.rows:
+            assert row.coefficients.sum() == 1.0
+        C = matrix_of(dom, cs)
+        X = dom.stacked_vertices()
+        for d in range(dom.dim):
+            assert np.abs(C @ X[:, d]).max(initial=0.0) <= 1e-12 * dom.bbox_diagonal()
 
 
 class TestThinning:

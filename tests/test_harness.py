@@ -9,6 +9,7 @@ from overlapfem import (
     QuadratureSpec,
     SimplicialMesh,
     build_scenario,
+    generate_annulus,
     generate_segment,
     locking_probe,
     parse_config,
@@ -17,6 +18,7 @@ from overlapfem import (
     run_penalty_sweep,
     save_mesh,
 )
+from overlapfem import solver
 from overlapfem.cli import main
 from overlapfem.harness import (
     CONVERGENCE_HEADER,
@@ -36,6 +38,10 @@ class TestParseConfig:
         assert cfg.coupling == "boundary_only"
         assert cfg.resolutions == (20, 40, 80, 160)
         assert cfg.quadrature.scheme == "corner_average"
+
+    def test_dt_is_not_a_key(self):
+        with pytest.raises(ConfigError):
+            parse_config("scenario = seg1d_poisson\ndt = 0.1\n")
 
     def test_annulus_defaults(self):
         cfg = parse_config("scenario = annulus2d_laplace\n")
@@ -318,6 +324,20 @@ class TestCli:
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n")
         assert main(["solve", str(cfg)]) == 2
+
+    def test_unconverged_dual_cg_exit_code(self, tmp_path, capsys, monkeypatch):
+        # One pin per annulus: the dual path, which needs two CG iterations here.
+        (tmp_path / "a.dmesh").write_text(save_mesh(generate_annulus(1.0, 1.6, 2, 9)))
+        (tmp_path / "b.dmesh").write_text(save_mesh(generate_annulus(1.4, 2.0, 2, 9, 0.1)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n"
+            "dirichlet = 0:0:0.0,1:18:0.0\n"
+        )
+        assert main(["solve", str(cfg)]) == 0
+        monkeypatch.setattr(solver, "DUAL_CG_MAX_ITERATIONS", 1)
+        assert main(["solve", str(cfg)]) == 2
+        assert "dual_cg did not converge in 1 iterations" in capsys.readouterr().err
 
     def test_too_many_modes_exit_code(self, tmp_path, capsys):
         # 12 vertices and 2 boundary-only rows leave 10 degrees of freedom.

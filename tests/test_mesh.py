@@ -1,4 +1,6 @@
 import math
+from collections import Counter
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -126,6 +128,20 @@ class TestBoundaryFacets:
                 counts[facet] = counts.get(facet, 0) + 1
         expected = sorted(f for f, c in counts.items() if c == 1)
         assert sorted(boundary_facets(mesh)) == expected
+
+    @settings(max_examples=40)
+    @given(mesh=MESHES)
+    def test_matches_counter_property(self, mesh):
+        counts = Counter(
+            tuple(sorted(int(v) for v in facet))
+            for simplex in mesh.simplices
+            for facet in combinations(simplex, mesh.dim)
+        )
+        expected = sorted(f for f, c in counts.items() if c == 1)
+        facets = boundary_facets(mesh)
+        assert facets == expected
+        assert all(type(v) is int for f in facets for v in f)
+        assert boundary_vertices(mesh) == {v for f in expected for v in f}
 
 
 class TestSubmesh:

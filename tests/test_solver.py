@@ -1,26 +1,34 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from overlapfem import (
     DeconstructedDomain,
+    ExperimentConfig,
     QuadratureSpec,
     SimplicialMesh,
     SolverError,
     assemble_global,
+    boundary_vertices,
+    build_scenario,
     constrained_modes,
     generate_annulus,
     generate_segment,
     implicit_step,
+    load_mesh,
+    run_penalty_sweep,
     solve_bilaplace,
     solve_bilaplace_convex,
     solve_kkt,
     solve_poisson,
 )
-from overlapfem import solver
+from overlapfem import harness, solver
 from overlapfem.solver import coupling_for_mode
 
 QUAD = QuadratureSpec.corner_average()
+DATA = Path(__file__).parent / "data"
 
 
 class TestSolveKkt:
@@ -228,3 +236,117 @@ class TestCouplingForMode:
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
         with pytest.raises(ValueError):
             coupling_for_mode(dom, "psychic")
+
+
+def pinned_segments(n=21):
+    a = generate_segment(0.0, 2.0 / 3.0, n)
+    b = generate_segment(1.0 / 3.0, 1.0, n)
+    return DeconstructedDomain([a, b], [(0, 0, 0.0), (1, n - 1, 0.0)])
+
+
+def pinned_annuli():
+    config = ExperimentConfig("annulus2d_poisson", coupling="all_vertices")
+    return build_scenario(config, 1).domain
+
+
+def pinned_boxes():
+    boxes = [load_mesh((DATA / name).read_text()) for name in ("box_a.dmesh", "box_b.dmesh")]
+    pins = [
+        (s, v, 0.5 * s - 0.25)
+        for s, mesh in enumerate(boxes)
+        for v in sorted(boundary_vertices(mesh))
+        if mesh.vertices[v, 2] == 0.0
+    ]
+    return DeconstructedDomain(boxes, pins)
+
+
+DEFINITE_FIXTURES = {
+    "segments": (pinned_segments, "boundary_only"),
+    "annuli": (pinned_annuli, "all_vertices"),
+    "boxes": (pinned_boxes, "boundary_only"),
+}
+
+
+def saddle_reference(domain, mode, form, rhs):
+    """solve_kkt on the same form, load, rows and pins: the saddle LU answer."""
+    L, M, _ = assemble_global(domain, QUAD)
+    _, A = coupling_for_mode(domain, mode)
+    return solve_kkt(form(L, M), M @ rhs, A, fixed=solver._dirichlet_fixed(domain))
+
+
+def assert_close(u, reference):
+    assert np.abs(u - reference).max() <= 1e-9 * np.abs(reference).max()
+
+
+class TestSolvePaths:
+    @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
+    def test_pinned_poisson_takes_dual_cg(self, name):
+        build, mode = DEFINITE_FIXTURES[name]
+        domain = build()
+        rhs = np.ones(domain.total_vertices)
+        rep = solve_poisson(domain, QUAD, mode, rhs=1.0)
+        ref = saddle_reference(domain, mode, lambda L, M: L, rhs)
+        assert rep.path == "dual_cg" and rep.iterations > 0
+        assert ref.path == "saddle_lu" and ref.iterations == 0
+        assert_close(rep.u, ref.u)
+        assert rep.constraint_residual <= 1e-9
+        assert rep.stationarity_residual <= 1e-8
+
+    @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
+    def test_implicit_step_takes_dual_cg(self, name):
+        build, mode = DEFINITE_FIXTURES[name]
+        domain = build()
+        u0 = np.sin(np.arange(domain.total_vertices))
+        rep = implicit_step(domain, QUAD, mode, 0.01, u0)
+        ref = saddle_reference(domain, mode, lambda L, M: M + 0.01 * L, u0)
+        assert rep.path == "dual_cg" and rep.iterations > 0
+        assert_close(rep.u, ref.u)
+
+    def test_no_rows_skip_cg(self):
+        rep = solve_poisson(pinned_segments(), QUAD, "none")
+        assert rep.path == "dual_cg" and rep.iterations == 0
+
+    def test_floating_subdomain_takes_saddle_lu(self):
+        # The middle segment holds no Dirichlet vertex: L is singular on it.
+        n = 31
+        meshes = [generate_segment(lo, lo + 0.6, n) for lo in (0.0, 0.2, 0.4)]
+        domain = DeconstructedDomain(meshes, [(0, 0, 0.0), (2, n - 1, 0.0)])
+        rep = solve_poisson(domain, QUAD, "boundary_only")
+        assert rep.path.startswith("saddle_lu") and rep.iterations == 0
+        s = domain.stacked_vertices()[:, 0]
+        assert np.abs(rep.u - s * (1 - s) / 2).max() < 1e-3
+
+    def test_coincident_copies_take_saddle_lu(self):
+        # Under all_vertices the rows u_a - u_b, u_a - u_c, u_b - u_c at each
+        # interior vertex are distinct but dependent, so A A^T is singular.
+        n = 11
+        domain = DeconstructedDomain(
+            [generate_segment(0.0, 1.0, n) for _ in range(3)],
+            [(k, v, 0.0) for k in range(3) for v in (0, n - 1)],
+        )
+        rep = solve_poisson(domain, QUAD, "all_vertices")
+        assert rep.path.startswith("saddle_lu")
+        s = domain.stacked_vertices()[:, 0]
+        np.testing.assert_allclose(rep.u, s * (1 - s) / 2, atol=1e-12)
+
+    def test_bilaplace_penalty_and_direct_solves_take_saddle_lu(self, monkeypatch):
+        domain = pinned_segments()
+        z_pins = ((0, 0, 0.0), (1, 20, 0.0))
+        assert solve_bilaplace(domain, QUAD, "high_order", z_pins, load=24.0).path == "saddle_lu"
+        assert solve_bilaplace_convex(domain, QUAD, z_pins, load=24.0).path == "saddle_lu"
+        paths = []
+
+        def recording(*args, **kwargs):
+            report = solve_kkt(*args, **kwargs)
+            paths.append(report.path)
+            return report
+
+        monkeypatch.setattr(harness, "solve_kkt", recording)
+        config = ExperimentConfig("seg1d_poisson", resolutions=(11, 21), penalty_weights=(1.0, 10.0))
+        run_penalty_sweep(config)
+        assert paths == ["saddle_lu", "saddle_lu"]
+
+    def test_unconverged_dual_cg_raises(self, monkeypatch):
+        monkeypatch.setattr(solver, "DUAL_CG_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverError, match="dual_cg did not converge in 1 iterations"):
+            solve_poisson(pinned_annuli(), QUAD, "all_vertices")
