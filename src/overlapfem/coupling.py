@@ -133,18 +133,19 @@ def thin_constraints(cs):
 
 def constraint_matrix(cs, offsets, N):
     """Materialize rows as a sparse (m, N) matrix: +1 at targets, -coeffs at anchors."""
-    rows, cols, vals = [], [], []
-    for r, row in enumerate(cs.rows):
-        a, i = row.target
-        b, _ = row.anchor
-        rows.append(r)
-        cols.append(int(offsets[a]) + int(i))
-        vals.append(1.0)
-        for j, c in zip(row.anchor_vertices, row.coefficients):
-            rows.append(r)
-            cols.append(int(offsets[b]) + int(j))
-            vals.append(-float(c))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(cs.rows), N))
+    m = len(cs.rows)
+    if m == 0:
+        return sp.csr_matrix((0, N))
+    offsets = np.asarray(offsets, dtype=np.int64)
+    target = np.array([row.target for row in cs.rows], dtype=np.int64)
+    anchor = np.array([row.anchor[0] for row in cs.rows], dtype=np.int64)
+    cols = np.column_stack([
+        offsets[target[:, 0]] + target[:, 1],
+        offsets[anchor][:, None] + np.array([row.anchor_vertices for row in cs.rows]),
+    ])
+    vals = np.column_stack([np.ones(m), -np.array([row.coefficients for row in cs.rows])])
+    rows = np.repeat(np.arange(m), cols.shape[1])
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(m, N))
 
 
 def constraints_to_csv(cs):

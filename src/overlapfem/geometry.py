@@ -23,9 +23,9 @@ __all__ = [
 # Barycentric containment slack, as a fraction of the mesh bbox diagonal.
 CONTAINMENT_TOL_FACTOR = 1e-10
 
-# Points are matched against the centroid tree this many at a time, which
-# bounds the memory held by candidate pairs.
-_BLOCK = 16384
+# Candidate pairs are gathered this many at a time, which bounds the memory
+# held while they are filtered and their coordinates computed.
+_BLOCK_PAIRS = 1 << 17
 
 
 class GeometryError(ValueError):
@@ -61,35 +61,77 @@ def containment_tolerance(mesh):
     return CONTAINMENT_TOL_FACTOR * mesh.bbox_diagonal()
 
 
-def _kdtree(points):
-    # Imported on first use: scipy.spatial adds about 0.1 s to `import overlapfem`.
-    from scipy.spatial import cKDTree
-
-    return cKDTree(points)
-
-
 class PointLocator:
-    """KD-tree over one mesh's simplex centroids plus per-simplex inverse edges.
+    """Uniform grid over one mesh's padded simplex boxes plus per-simplex inverse edges.
 
-    With R the largest centroid-corner distance, a point whose barycentric
-    coordinates in a simplex are all >= -tol lies within R (1 + 2 (d+1) tol)
-    of that simplex's centroid, so a ball of that radius (plus ``tol`` for
-    rounding) gathers every simplex the barycentric check can accept.
+    Padding: if p has barycentric coordinates lam >= -tol in a simplex with
+    corners x_i, then per axis p - min x_i = sum lam_i (x_i - min x_i) >=
+    -(d+1) tol extent, and likewise above max x_i. Each box is widened by that
+    plus a rounding slack of sqrt(eps) (extent + largest |x|): coordinates
+    computed from p - x_0 are off by about eps cond (extent + |x|) in length,
+    so condition numbers up to 1/sqrt(eps) are covered.
+
+    Grid: the cell size gives about one cell per simplex over the union of
+    the padded boxes (an axis shorter than a cell gets one cell), so there
+    are at most 2^d t cells. Each cell lists, ascending, the simplices whose
+    padded box overlaps it. Boxes and points get cells by the same monotone
+    rounding, so the candidates of a point (the simplices of its cell whose
+    padded box holds it) include every simplex the check with ``tol`` accepts.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
+        self.tol = containment_tolerance(mesh)
+        d, t = mesh.dim, mesh.num_simplices
         corners = mesh.vertices[mesh.simplices]
-        centroids = corners.mean(axis=1)
-        self.radius = float(np.linalg.norm(corners - centroids[:, None, :], axis=2).max())
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        slack = np.sqrt(np.finfo(float).eps) * (hi - lo + np.maximum(np.abs(lo), np.abs(hi)))
+        pad = (d + 1) * self.tol * (hi - lo) + slack
+        lo, hi = lo - pad, hi + pad
+        # Axis-major, so that candidates filter one axis at a time.
+        self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
         self.edge_inv = np.linalg.inv(np.swapaxes(corners[:, 1:, :] - corners[:, :1, :], 1, 2))
-        self.kd = _kdtree(centroids)
+        self.origin = lo.min(axis=0)
+        span = hi.max(axis=0) - self.origin
+        longest = np.sort(span)[::-1]
+        for k in range(d, 0, -1):
+            self.cell = (np.prod(longest[:k]) / t) ** (1.0 / k)
+            if self.cell <= longest[k - 1]:
+                break
+        self.shape = tuple(np.floor(span / self.cell).astype(np.int64) + 1)
+        first, last = (np.floor((b - self.origin) / self.cell).astype(np.int32) for b in (lo, hi))
+        # Expand one axis at a time, simplex ids ascending. int32 halves the memory.
+        ids, cells = np.arange(t, dtype=np.int32), np.zeros(t, dtype=np.int32)
+        for k in range(d):
+            n = last[ids, k] - first[ids, k] + 1
+            step = np.arange(n.sum(), dtype=np.int32) - np.repeat(n.cumsum(dtype=np.int32) - n, n)
+            cells = np.repeat(cells, n) * int(self.shape[k]) + np.repeat(first[ids, k], n) + step
+            ids = np.repeat(ids, n)
+        self.bins = ids[np.argsort(cells, kind="stable")]
+        # The extra, empty last cell stands for everything outside the grid.
+        self.bin_size = np.bincount(cells, minlength=np.prod(self.shape) + 1)
+        self.bin_start = np.cumsum(self.bin_size) - self.bin_size
 
-    def candidates(self, points, tol):
-        """(point index, simplex index) pairs within the containment radius."""
-        r = self.radius * (1.0 + 2.0 * (self.mesh.dim + 1) * tol) + tol
-        pairs = _kdtree(points).sparse_distance_matrix(self.kd, r, output_type="ndarray")
-        return pairs["i"].astype(np.int64), pairs["j"].astype(np.int64)
+    def cells(self, points):
+        """Grid cell of each point (the empty last cell outside the grid)."""
+        index = np.floor((points - self.origin) / self.cell)
+        inside = ((index >= 0) & (index < self.shape)).all(axis=1)
+        index = np.where(inside[:, None], index, 0).astype(np.int64)
+        flat = np.ravel_multi_index(tuple(index.T), self.shape)
+        return np.where(inside, flat, len(self.bin_size) - 1)
+
+    def candidates(self, points):
+        """(point index, simplex index) pairs whose padded box holds the point,
+        ordered by point, then simplex."""
+        cells = self.cells(points)
+        n = self.bin_size[cells]
+        pi = np.repeat(np.arange(len(points)), n)
+        si = self.bins[np.arange(len(pi)) + np.repeat(self.bin_start[cells] - np.cumsum(n) + n, n)]
+        for k in range(self.mesh.dim):
+            x = points[pi, k]
+            keep = (self.lo[k, si] <= x) & (x <= self.hi[k, si])
+            pi, si = pi[keep], si[keep]
+        return pi, si
 
     def coordinates(self, points, simplices):
         """Barycentric coordinates of each point in its paired simplex."""
@@ -106,34 +148,34 @@ def _best_containing(mesh, candidate_ids, p, tol):
     return None
 
 
-def locate_point(tree, p, tol=None):
+def locate_point(tree, p):
     """Find a simplex of ``tree.mesh`` containing ``p`` (closed containment,
     lowest index wins).
 
-    Returns None when no simplex contains the point within tolerance.
+    Returns None when no simplex contains the point within ``tree.tol``.
     """
-    if tol is None:
-        tol = containment_tolerance(tree.mesh)
     p = np.asarray(p, dtype=float)
-    _, si = tree.candidates(p[None, :], tol)
-    return _best_containing(tree.mesh, si, p, tol)
+    _, si = tree.candidates(p[None, :])
+    return _best_containing(tree.mesh, si, p, tree.tol)
 
 
-def locate_points(tree, points, tol=None):
+def locate_points(tree, points):
     """Vectorized :func:`locate_point` over many points.
 
     Returns an int array of containing simplex indices (-1 where none), with
     the same lowest-index tie-break as the scalar version.
     """
     points = np.asarray(points, dtype=float)
-    if tol is None:
-        tol = containment_tolerance(tree.mesh)
     sentinel = np.iinfo(np.int64).max
     found = np.full(len(points), sentinel, dtype=np.int64)
-    for start in range(0, len(points), _BLOCK):
-        pi, si = tree.candidates(points[start : start + _BLOCK], tol)
+    block = np.cumsum(tree.bin_size[tree.cells(points)]) // _BLOCK_PAIRS
+    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(points)]
+    for start, stop in zip(edges[:-1], edges[1:]):
+        pi, si = tree.candidates(points[start:stop])
         pi += start
-        ok = tree.coordinates(points[pi], si).min(axis=1) >= -tol
+        ok = np.ones(len(pi), dtype=bool)
+        for column in tree.coordinates(points[pi], si).T:  # faster than a row-wise min
+            ok &= column >= -tree.tol
         np.minimum.at(found, pi[ok], si[ok])
     found[found == sentinel] = -1
     return found

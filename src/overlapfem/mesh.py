@@ -226,61 +226,60 @@ def load_mesh(text):
 
     Raises :class:`ParseError` with a line number on malformed input.
     """
-    tokens = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        body = raw.split("#", 1)[0]
-        for tok in body.split():
-            tokens.append((tok, lineno))
+    if "#" in text:
+        text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    # Every line break is whitespace, so this splits each line in turn.
+    tokens = text.split()
     pos = 0
 
-    def take(expect=None):
-        nonlocal pos
-        if pos >= len(tokens):
-            last = tokens[-1][1] if tokens else 1
-            raise ParseError("unexpected end of file", last)
-        tok, lineno = tokens[pos]
-        pos += 1
-        if expect is not None and tok != expect:
-            raise ParseError("expected %r, got %r" % (expect, tok), lineno)
-        return tok, lineno
+    def fail(message, index):
+        # Token line numbers are only worked out here; past the end, the last token's.
+        ends = np.cumsum([len(raw.split()) for raw in text.splitlines()])
+        line = np.searchsorted(ends, min(index, len(tokens) - 1), side="right") + 1
+        raise ParseError(message, int(line))
 
-    def take_int(what, minimum=None):
-        tok, lineno = take()
+    def take(count, kind=str, expected=None):
+        """The next ``count`` tokens converted by ``kind``; ``expected(i)`` describes token i."""
+        nonlocal pos
+        chunk = tokens[pos : pos + count]
         try:
-            value = int(tok)
+            values = list(map(kind, chunk))
         except ValueError:
-            raise ParseError("expected integer %s, got %r" % (what, tok), lineno) from None
-        if minimum is not None and value < minimum:
-            raise ParseError("%s must be >= %d, got %d" % (what, minimum, value), lineno)
+            for i, tok in enumerate(chunk):
+                try:
+                    kind(tok)
+                except ValueError:
+                    fail("expected %s, got %r" % (expected(i), tok), pos + i)
+        if len(chunk) < count:
+            fail("unexpected end of file", len(tokens))
+        pos += count
+        return values
+
+    def expect(word):
+        (tok,) = take(1)
+        if tok != word:
+            fail("expected %r, got %r" % (word, tok), pos - 1)
+
+    def take_count(what, minimum):
+        (value,) = take(1, int, lambda i: "integer " + what)
+        if value < minimum:
+            fail("%s must be >= %d, got %d" % (what, minimum, value), pos - 1)
         return value
 
-    def take_float(what):
-        tok, lineno = take()
-        try:
-            return float(tok)
-        except ValueError:
-            raise ParseError("expected number for %s, got %r" % (what, tok), lineno) from None
-
-    take("DIM")
-    dim = take_int("DIM", 1)
+    expect("DIM")
+    dim = take_count("DIM", 1)
     if dim not in (1, 2, 3):
         raise ParseError("DIM must be 1, 2 or 3, got %d" % dim)
-    take("VERTICES")
-    n = take_int("vertex count", 1)
-    vertices = np.empty((n, dim))
-    for i in range(n):
-        for c in range(dim):
-            vertices[i, c] = take_float("vertex %d coordinate" % i)
-    take("SIMPLICES")
-    t = take_int("simplex count", 1)
-    simplices = np.empty((t, dim + 1), dtype=np.int64)
-    for i in range(t):
-        for c in range(dim + 1):
-            simplices[i, c] = take_int("simplex %d index" % i)
+    expect("VERTICES")
+    n = take_count("vertex count", 1)
+    coords = take(n * dim, float, lambda i: "number for vertex %d coordinate" % (i // dim))
+    expect("SIMPLICES")
+    t = take_count("simplex count", 1)
+    indices = take(t * (dim + 1), int, lambda i: "integer simplex %d index" % (i // (dim + 1)))
     if pos != len(tokens):
-        tok, lineno = tokens[pos]
-        raise ParseError("trailing content %r" % tok, lineno)
-    return SimplicialMesh(dim, vertices, simplices)
+        fail("trailing content %r" % tokens[pos], pos)
+    vertices = np.array(coords, dtype=float).reshape(n, dim)
+    return SimplicialMesh(dim, vertices, np.array(indices, dtype=np.int64).reshape(t, dim + 1))
 
 
 def save_mesh(mesh):
@@ -311,16 +310,10 @@ def generate_segment(a, b, n):
 
 def _polar_grid_triangles(n_r, n_t):
     # Quad (i,j) split along the (i,j) -> (i+1,j+1) diagonal; row-major vertices.
-    tris = []
-    for i in range(n_r):
-        for j in range(n_t):
-            v00 = i * n_t + j
-            v01 = i * n_t + (j + 1) % n_t
-            v10 = (i + 1) * n_t + j
-            v11 = (i + 1) * n_t + (j + 1) % n_t
-            tris.append((v00, v11, v10))
-            tris.append((v00, v01, v11))
-    return np.array(tris, dtype=np.int64)
+    i, j = np.meshgrid(np.arange(n_r), np.arange(n_t), indexing="ij")
+    v00, v01 = i * n_t + j, i * n_t + (j + 1) % n_t
+    tris = np.stack([v00, v01 + n_t, v00 + n_t, v00, v01, v01 + n_t], axis=-1)
+    return tris.reshape(-1, 3).astype(np.int64)
 
 
 def generate_annulus(r_in, r_out, n_r, n_t, theta_offset=0.0):
@@ -348,18 +341,12 @@ def generate_disk(radius, n_r, n_t, theta_offset=0.0, center=(0.0, 0.0)):
         raise MeshError("need n_r >= 1 and n_t >= 3")
     cx, cy = center
     theta = theta_offset + 2 * np.pi * np.arange(n_t) / n_t
-    verts = [(cx, cy)]
-    for i in range(1, n_r + 1):
-        r = radius * i / n_r
-        for t in theta:
-            verts.append((cx + r * np.cos(t), cy + r * np.sin(t)))
-    tris = []
-    for j in range(n_t):
-        tris.append((0, 1 + j, 1 + (j + 1) % n_t))
-    if n_r > 1:
-        ring = 1 + _polar_grid_triangles(n_r - 1, n_t)
-        tris.extend(ring.tolist())
-    return SimplicialMesh(2, np.array(verts), np.array(tris, dtype=np.int64))
+    r = (radius * np.arange(1, n_r + 1) / n_r)[:, None]
+    rings = np.column_stack([(cx + r * np.cos(theta)).ravel(), (cy + r * np.sin(theta)).ravel()])
+    j = np.arange(n_t)
+    fan = np.column_stack([np.zeros(n_t, dtype=np.int64), 1 + j, 1 + (j + 1) % n_t])
+    tris = np.vstack([fan, 1 + _polar_grid_triangles(n_r - 1, n_t)])
+    return SimplicialMesh(2, np.vstack([[cx, cy], rings]), tris)
 
 
 def submesh(mesh, simplex_ids):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -99,6 +100,44 @@ class TestPrecision:
         X = dom.stacked_vertices()
         for d in range(dom.dim):
             assert np.abs(C @ X[:, d]).max(initial=0.0) <= 1e-12 * dom.bbox_diagonal()
+
+
+def constraint_matrix_loop(cs, offsets, N):
+    rows, cols, vals = [], [], []
+    for r, row in enumerate(cs.rows):
+        a, i = row.target
+        b, _ = row.anchor
+        rows.append(r)
+        cols.append(int(offsets[a]) + int(i))
+        vals.append(1.0)
+        for j, c in zip(row.anchor_vertices, row.coefficients):
+            rows.append(r)
+            cols.append(int(offsets[b]) + int(j))
+            vals.append(-float(c))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(len(cs.rows), N))
+
+
+class TestConstraintMatrix:
+    @pytest.mark.parametrize("kind", ["all_vertices", "thinned", "empty"])
+    def test_matches_loop(self, kind):
+        meshes = [
+            generate_annulus(1.0, 1.6, 2, 13),
+            generate_annulus(1.4, 2.0, 2, 15, 0.1),
+            generate_annulus(1.2, 1.8, 3, 11, 0.05),
+        ]
+        dom = DeconstructedDomain(meshes)
+        if kind == "all_vertices":
+            cs = all_vertex_constraints(dom)
+        elif kind == "thinned":
+            cs = thin_constraints(boundary_only_constraints(dom))
+        else:
+            cs = all_vertex_constraints(DeconstructedDomain(meshes[:1]))
+        got = matrix_of(dom, cs)
+        ref = constraint_matrix_loop(cs, dom.offsets, dom.total_vertices)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        np.testing.assert_array_equal(got.indptr, ref.indptr)
+        np.testing.assert_array_equal(got.indices, ref.indices)
+        np.testing.assert_array_equal(got.data, ref.data)
 
 
 class TestThinning:

@@ -1,3 +1,5 @@
+import subprocess
+import sys
 from itertools import combinations
 from pathlib import Path
 
@@ -9,6 +11,7 @@ from hypothesis import strategies as st
 from overlapfem import (
     DeconstructedDomain,
     PointLocator,
+    SimplicialMesh,
     barycentric_coordinates,
     coverage_count,
     generate_annulus,
@@ -203,3 +206,51 @@ class TestCoverage:
         counts = coverage_counts(dom, pts)
         for p, c in zip(pts, counts):
             assert coverage_count(dom, p) == c
+
+
+class TestGridLocator:
+    def test_one_long_element_keeps_candidates_local(self):
+        # 20,000 elements on [0, 1] plus one 99-unit element: a search radius
+        # set by the largest element would pair every point with every small one.
+        x = np.r_[np.linspace(0.0, 1.0, 20001), 100.0][:, None]
+        mesh = SimplicialMesh(1, x, np.column_stack([np.arange(20001), np.arange(1, 20002)]))
+        tree = PointLocator(mesh)
+        pts = np.random.default_rng(5).random((2000, 1))
+        pi, _ = tree.candidates(pts)
+        assert len(pi) < 10 * len(pts)
+        found = locate_points(tree, pts)
+        assert (found >= 0).all()
+        # The oracle scans simplices in order, so take points up to x = 0.05.
+        near = pts[pts[:, 0] < 0.05][:10]
+        assert_matches_oracle(mesh, np.r_[near, [[0.0], [1.0], [50.0], [100.5]]])
+
+    @settings(max_examples=20)
+    @given(exponent=st.floats(-3.0, 3.0), seed=st.integers(0, 2**32 - 1))
+    def test_affine_box_matches_brute_force_property(self, exponent, seed):
+        box = load_mesh((DATA / "box_a.dmesh").read_text())
+        rng = np.random.default_rng(seed)
+        scale = 10.0**exponent
+        q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        linear = scale * q * rng.uniform(0.5, 2.0, size=3)
+        mesh = SimplicialMesh(3, box.vertices @ linear.T + scale * rng.uniform(-10, 10, size=3),
+                              box.simplices)
+        lo, hi = mesh.bbox()
+        around = lo + (hi - lo) * rng.uniform(-0.2, 1.2, size=(40, 3))
+        assert_matches_oracle(mesh, np.concatenate([around, mesh.vertices, facet_midpoints(mesh)]))
+
+    def test_solves_do_not_import_scipy_spatial(self):
+        script = (
+            "import sys\n"
+            "from overlapfem import DeconstructedDomain, QuadratureSpec, assemble_global,"
+            " constrained_modes, generate_annulus, solve_poisson\n"
+            "from overlapfem.solver import coupling_for_mode\n"
+            "dom = DeconstructedDomain([generate_annulus(1.0, 1.6, 2, 12),"
+            " generate_annulus(1.4, 2.0, 2, 12, 0.1)], [(0, 0, 0.0)])\n"
+            "quad = QuadratureSpec.corner_average()\n"
+            "solve_poisson(dom, quad)\n"
+            "L, M, _ = assemble_global(dom, quad)\n"
+            "constrained_modes(L, M, coupling_for_mode(dom, 'boundary_only')[1], 3)\n"
+            "assert 'scipy.spatial' not in sys.modules\n"
+        )
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        subprocess.run([sys.executable, "-c", script], check=True, cwd=src, timeout=120)

@@ -25,7 +25,7 @@ from overlapfem import (
     solve_poisson,
     submesh,
 )
-from overlapfem.mesh import boundary_facets, simplex_measures
+from overlapfem.mesh import _polar_grid_triangles, boundary_facets, simplex_measures
 from overlapfem.solver import coupling_for_mode
 from test_geometry import MESHES
 
@@ -153,6 +153,44 @@ class TestSubmesh:
         np.testing.assert_allclose(
             simplex_measures(sub), simplex_measures(mesh)[keep]
         )
+
+
+def polar_grid_loop(n_r, n_t):
+    tris = []
+    for i in range(n_r):
+        for j in range(n_t):
+            v00 = i * n_t + j
+            v01 = i * n_t + (j + 1) % n_t
+            v10 = (i + 1) * n_t + j
+            v11 = (i + 1) * n_t + (j + 1) % n_t
+            tris.append((v00, v11, v10))
+            tris.append((v00, v01, v11))
+    return np.array(tris, dtype=np.int64).reshape(-1, 3)
+
+
+def disk_loop(radius, n_r, n_t, theta_offset, center):
+    cx, cy = center
+    theta = theta_offset + 2 * np.pi * np.arange(n_t) / n_t
+    verts = [(cx, cy)]
+    for i in range(1, n_r + 1):
+        r = radius * i / n_r
+        for t in theta:
+            verts.append((cx + r * np.cos(t), cy + r * np.sin(t)))
+    tris = [(0, 1 + j, 1 + (j + 1) % n_t) for j in range(n_t)]
+    tris.extend((1 + polar_grid_loop(n_r - 1, n_t)).tolist())
+    return SimplicialMesh(2, np.array(verts), np.array(tris, dtype=np.int64))
+
+
+class TestGeneratorsMatchLoops:
+    @pytest.mark.parametrize("n_r,n_t", [(1, 3), (2, 5), (3, 17), (7, 4)])
+    def test_polar_grid_and_disk(self, n_r, n_t):
+        tris = _polar_grid_triangles(n_r, n_t)
+        assert tris.dtype == np.int64
+        np.testing.assert_array_equal(tris, polar_grid_loop(n_r, n_t))
+        for args in [(1.3, n_r, n_t, 0.0, (0.0, 0.0)), (50.0, n_r, n_t, 0.7, (3, -1.5))]:
+            disk, ref = generate_disk(*args), disk_loop(*args)
+            np.testing.assert_array_equal(disk.vertices, ref.vertices)
+            np.testing.assert_array_equal(disk.simplices, ref.simplices)
 
 
 class TestDmeshFormat:
