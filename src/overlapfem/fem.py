@@ -7,7 +7,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import other_coverage_counts
-from .mesh import MeshError, simplex_measures
+from .mesh import simplex_measures
 
 __all__ = [
     "QuadratureSpec",
@@ -121,29 +121,27 @@ def quadrature_rule(spec, dim):
     raise ValueError("monte_carlo has no fixed rule; points are drawn per element")
 
 
+def _hat_gradients(mesh):
+    """Hat-function gradients, shape (d+1, d, t): [i, :, k] is the constant
+    gradient of corner i's hat function on simplex k."""
+    g = np.empty((mesh.dim + 1, mesh.dim, mesh.num_simplices))
+    g[1:] = mesh.edge_inverses.transpose(1, 2, 0)  # row j: the hat of corner j+1
+    g[0] = -g[1:].sum(axis=0)
+    return g
+
+
 def gradient_matrix(mesh):
     """Sparse per-element gradient operator, shape (d*t, n).
 
     Rows d*k .. d*k+d-1 hold the constant gradient of the piecewise-linear
     interpolant on simplex k.
     """
-    d = mesh.dim
-    t = mesh.num_simplices
-    corners = mesh.vertices[mesh.simplices]
-    edges = np.swapaxes(corners[:, 1:, :] - corners[:, :1, :], 1, 2)  # (t, d, d)
-    try:
-        inv = np.linalg.inv(edges)
-    except np.linalg.LinAlgError:
-        raise MeshError("degenerate simplex during gradient assembly") from None
-    grads = inv  # (t, d, d): row j is the gradient of hat function j+1
-    g0 = -grads.sum(axis=1, keepdims=True)
-    allg = np.concatenate([g0, grads], axis=1)  # (t, d+1, d)
-    rows = np.broadcast_to(
-        (d * np.arange(t))[:, None, None] + np.arange(d)[None, None, :], (t, d + 1, d)
-    )
-    cols = np.broadcast_to(mesh.simplices[:, :, None], (t, d + 1, d))
+    g = _hat_gradients(mesh)
+    _, d, t = g.shape
+    rows = np.broadcast_to(d * np.arange(t) + np.arange(d)[:, None], g.shape)
+    cols = np.broadcast_to(mesh.simplices.T[:, None, :], g.shape)
     return sp.csr_matrix(
-        (allg.ravel(), (rows.ravel(), cols.ravel())), shape=(d * t, mesh.num_vertices)
+        (g.ravel(), (rows.ravel(), cols.ravel())), shape=(d * t, mesh.num_vertices)
     )
 
 
@@ -180,15 +178,25 @@ def adjusted_volumes(domain, k, quad):
 
 
 def stiffness_matrix(mesh, a):
-    """Discrete Laplacian G^T diag(a) G using element weights ``a``; PSD, L @ 1 = 0."""
+    """Discrete Laplacian with element weights ``a``: the sum over elements of
+    a_e g_i . g_j for hat gradients g_i, g_j; PSD, L @ 1 = 0."""
     a = np.asarray(a, dtype=float)
     if a.shape != (mesh.num_simplices,):
         raise ValueError("adjusted volumes have wrong length")
     if (a < 0).any():
         raise ValueError("negative adjusted volume at element %d" % int(np.argmax(a < 0)))
-    G = gradient_matrix(mesh)
-    W = sp.diags(np.repeat(a, mesh.dim))
-    return (G.T @ W @ G).tocsr()
+    g = _hat_gradients(mesh)
+    k, n = len(g), mesh.num_vertices
+    local = np.empty((k, k, mesh.num_simplices))
+    for i in range(k):
+        for j in range(i, k):
+            local[i, j] = local[j, i] = a * (g[i] * g[j]).sum(axis=0)
+    s = mesh.simplices.T
+    rows, cols = (np.broadcast_to(x, local.shape).ravel() for x in (s[:, None], s[None, :]))
+    L = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # Entries that cancel exactly are dropped, as a sparse product drops them.
+    L.eliminate_zeros()
+    return L
 
 
 def lumped_mass_matrix(mesh, a):

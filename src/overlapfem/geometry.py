@@ -20,8 +20,9 @@ __all__ = [
     "build_trees",
 ]
 
-# Barycentric containment slack, as a fraction of the mesh bbox diagonal.
-CONTAINMENT_TOL_FACTOR = 1e-10
+# Barycentric containment slack. Barycentric coordinates have no unit, so
+# the slack is the same whatever the element size.
+CONTAINMENT_TOL = 1e-10
 
 # Candidate pairs are gathered this many at a time, which bounds the memory
 # held while they are filtered and their coordinates computed.
@@ -57,12 +58,12 @@ def barycentric_coordinates(simplex_vertices, p):
 
 
 def containment_tolerance(mesh):
-    """Barycentric slack used by :func:`locate_point` for this mesh."""
-    return CONTAINMENT_TOL_FACTOR * mesh.bbox_diagonal()
+    """Barycentric slack used by :func:`locate_point`; the same for every mesh."""
+    return CONTAINMENT_TOL
 
 
 class PointLocator:
-    """Uniform grid over one mesh's padded simplex boxes plus per-simplex inverse edges.
+    """Uniform grid over one mesh's padded simplex boxes.
 
     Padding: if p has barycentric coordinates lam >= -tol in a simplex with
     corners x_i, then per axis p - min x_i = sum lam_i (x_i - min x_i) >=
@@ -90,7 +91,6 @@ class PointLocator:
         lo, hi = lo - pad, hi + pad
         # Axis-major, so that candidates filter one axis at a time.
         self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-        self.edge_inv = np.linalg.inv(np.swapaxes(corners[:, 1:, :] - corners[:, :1, :], 1, 2))
         self.origin = lo.min(axis=0)
         span = hi.max(axis=0) - self.origin
         longest = np.sort(span)[::-1]
@@ -107,10 +107,20 @@ class PointLocator:
             step = np.arange(n.sum(), dtype=np.int32) - np.repeat(n.cumsum(dtype=np.int32) - n, n)
             cells = np.repeat(cells, n) * int(self.shape[k]) + np.repeat(first[ids, k], n) + step
             ids = np.repeat(ids, n)
-        self.bins = ids[np.argsort(cells, kind="stable")]
         # The extra, empty last cell stands for everything outside the grid.
         self.bin_size = np.bincount(cells, minlength=np.prod(self.shape) + 1)
         self.bin_start = np.cumsum(self.bin_size) - self.bin_size
+        # Sort by cell, then simplex, as one int64 key sorted in place. An
+        # argsort's index array and merge buffer, next to cells and ids, left
+        # freed heap behind that stayed resident through the solve.
+        keys = cells.astype(np.int64)
+        del cells
+        keys *= t
+        keys += ids
+        del ids
+        keys.sort()
+        np.remainder(keys, t, out=keys)
+        self.bins = keys.astype(np.int32)
 
     def cells(self, points):
         """Grid cell of each point (the empty last cell outside the grid)."""
@@ -136,7 +146,7 @@ class PointLocator:
     def coordinates(self, points, simplices):
         """Barycentric coordinates of each point in its paired simplex."""
         first = self.mesh.vertices[self.mesh.simplices[simplices, 0]]
-        xi = np.einsum("mij,mj->mi", self.edge_inv[simplices], points - first)
+        xi = np.einsum("mij,mj->mi", self.mesh.edge_inverses[simplices], points - first)
         return np.column_stack([1.0 - xi.sum(axis=1), xi])
 
 

@@ -403,14 +403,10 @@ def build_scenario(config, resolution):
 
 def max_circumradius(mesh):
     """Largest element circumradius; the mesh size h reported in sweeps."""
-    corners = mesh.vertices[mesh.simplices]
-    edges = corners[:, 1:, :] - corners[:, :1, :]  # (t, d, d)
-    rhs = 0.5 * (edges**2).sum(axis=2)
-    try:
-        # circumcenter relative to corner 0
-        centers = np.linalg.solve(edges, rhs[:, :, None])[:, :, 0]
-    except np.linalg.LinAlgError:
-        raise MeshError("degenerate simplex in circumradius computation") from None
+    # The circumcenter c, relative to corner 0, solves e_j . c = |e_j|^2 / 2
+    # for each edge e_j; the edge rows are the transposed edge matrix.
+    rhs = 0.5 * (mesh.edges() ** 2).sum(axis=2)
+    centers = np.einsum("tji,tj->ti", mesh.edge_inverses, rhs)
     return float(np.linalg.norm(centers, axis=1).max())
 
 

@@ -1,5 +1,8 @@
 """Simplicial meshes in 1D/2D/3D, test-mesh generators and the DMESH text format."""
 
+import math
+import re
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import combinations
@@ -46,7 +49,9 @@ class SimplicialMesh:
     """A d-dimensional simplicial mesh: vertex coordinates plus (d+1)-tuples of indices.
 
     Simplices are re-oriented to positive signed measure on construction;
-    degenerate or out-of-range simplices raise :class:`MeshError`.
+    degenerate or out-of-range simplices raise :class:`MeshError`. Every stage
+    reads this one geometry pass: the positive measures in ``measures`` and,
+    cached on first use, the inverse edge matrices in ``edge_inverses``.
     """
 
     dim: int
@@ -78,7 +83,8 @@ class SimplicialMesh:
         if not used.all():
             raise MeshError("vertex %d is not referenced by any simplex" % int(np.argmin(used)))
         # Orient consistently, then reject degenerate elements.
-        signed = self._signed_measures()
+        e = self.edges()
+        signed = np.einsum("ti,ti->t", _adjugates(e)[:, 0], e[:, 0]) / math.factorial(self.dim)
         flip = signed < 0
         if flip.any():
             self.simplices = self.simplices.copy()
@@ -88,15 +94,22 @@ class SimplicialMesh:
         if (signed <= thresh).any():
             bad = int(np.argmax(signed <= thresh))
             raise MeshError("simplex %d is degenerate (measure %g)" % (bad, signed[bad]))
+        signed.flags.writeable = False
+        self.measures = signed
 
-    def _signed_measures(self):
-        corners = self.vertices[self.simplices]
-        edges = corners[:, 1:, :] - corners[:, :1, :]
-        if self.dim == 1:
-            det = edges[:, 0, 0]
-        else:
-            det = np.linalg.det(edges)
-        return det / _factorial(self.dim)
+    def edges(self):
+        """Edge vectors x_j - x_0 of every simplex, shape (t, d, d); row j-1 is edge j."""
+        e = np.take(self.vertices, self.simplices[:, 1:], axis=0)  # faster than v[s]
+        e -= np.take(self.vertices, self.simplices[:, :1], axis=0)
+        return e
+
+    @cached_property
+    def edge_inverses(self):
+        """Inverse edge matrices (edges as columns), shape (t, d, d), as adjugate
+        over determinant; row j is the gradient of corner j+1's hat function."""
+        inv = _adjugates(self.edges())
+        inv /= math.factorial(self.dim) * self.measures[:, None, None]
+        return inv
 
     @property
     def num_vertices(self):
@@ -114,13 +127,23 @@ class SimplicialMesh:
         return float(np.linalg.norm(hi - lo))
 
 
-def _factorial(d):
-    return (1, 1, 2, 6)[d]
+def _adjugates(e):
+    """Adjugates of the edge matrices with edge rows ``e`` (t, d, d), in closed
+    form: row j is perpendicular to every edge but edge j, and its dot product
+    with edge j is the determinant (ad - bc in 2D, e0 . (e1 x e2) in 3D)."""
+    adj = np.ones_like(e)
+    if e.shape[-1] == 2:
+        adj[:, 0, 0], adj[:, 0, 1] = e[:, 1, 1], -e[:, 1, 0]
+        adj[:, 1, 0], adj[:, 1, 1] = -e[:, 0, 1], e[:, 0, 0]
+    elif e.shape[-1] == 3:
+        for j in range(3):
+            adj[:, j] = np.cross(e[:, (j + 1) % 3], e[:, (j + 2) % 3])
+    return adj
 
 
 def simplex_measures(mesh):
-    """Positive d-measures of all simplices as an array of length t."""
-    return np.abs(mesh._signed_measures())
+    """Positive d-measures of all simplices as a read-only array of length t."""
+    return mesh.measures
 
 
 def simplex_measure(mesh, t):
@@ -195,7 +218,7 @@ class DeconstructedDomain:
     def dim(self):
         return self.subdomains[0].dim
 
-    @property
+    @cached_property
     def offsets(self):
         """Cumulative global vertex offsets, length K+1 (last entry = total)."""
         sizes = [m.num_vertices for m in self.subdomains]
@@ -221,13 +244,55 @@ class DeconstructedDomain:
 # DMESH text format
 
 
+# Plain DMESH text: ASCII keywords and whitespace (which str.split and numpy
+# both take as separators), decimal coordinates and unsigned indices.
+_PLAIN = re.compile(
+    r"\s*DIM\s+([0-9]+)\s+VERTICES\s+([0-9]+)(\s+[0-9+\-.eE][0-9+\-.eE\s]*)(?<=\s)"
+    r"SIMPLICES\s+([0-9]+)(\s+[0-9][0-9\s]*)",
+    re.ASCII,
+)
+
+
 def load_mesh(text):
     """Parse DMESH text into a :class:`SimplicialMesh`.
 
-    Raises :class:`ParseError` with a line number on malformed input.
+    Blocks of plain numbers are read as arrays; any other text goes to the
+    token parser, which raises :class:`ParseError` with a line number on
+    malformed input.
     """
     if "#" in text:
         text = "\n".join(raw.split("#", 1)[0] for raw in text.splitlines())
+    parsed = _read_blocks(text)
+    return SimplicialMesh(*(_read_tokens(text) if parsed is None else parsed))
+
+
+def _read_blocks(text):
+    """(dim, vertices, simplices) with each block read whole by numpy, or None
+    unless the text is plain enough for this to match :func:`_read_tokens`
+    (indices below 10^18: numpy saturates an int64 overflow)."""
+    plain = _PLAIN.fullmatch(text)
+    if plain is None:
+        return None
+    try:  # int() refuses counts of over 4300 digits
+        dim, n, t = int(plain[1]), int(plain[2]), int(plain[4])
+        with warnings.catch_warnings():
+            # At a token that is not a number of the block's type, numpy
+            # raises ValueError; numpy 1.x warns and returns what it read.
+            warnings.simplefilter("error", DeprecationWarning)
+            vertices = np.fromstring(plain[3], sep=" ")
+            simplices = np.fromstring(plain[5], dtype=np.int64, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+    if dim not in (1, 2, 3) or vertices.size != n * dim or simplices.size != t * (dim + 1):
+        return None
+    if simplices.max() >= 10**18:
+        return None
+    return dim, vertices.reshape(n, dim), simplices.reshape(t, dim + 1)
+
+
+def _read_tokens(text):
+    """(dim, vertices, simplices) token by token; :class:`ParseError` with a
+    line number on malformed input."""
     # Every line break is whitespace, so this splits each line in turn.
     tokens = text.split()
     pos = 0
@@ -278,8 +343,13 @@ def load_mesh(text):
     indices = take(t * (dim + 1), int, lambda i: "integer simplex %d index" % (i // (dim + 1)))
     if pos != len(tokens):
         fail("trailing content %r" % tokens[pos], pos)
-    vertices = np.array(coords, dtype=float).reshape(n, dim)
-    return SimplicialMesh(dim, vertices, np.array(indices, dtype=np.int64).reshape(t, dim + 1))
+    try:
+        simplices = np.array(indices, dtype=np.int64).reshape(t, dim + 1)
+    except OverflowError:
+        i = next(i for i, v in enumerate(indices) if not -(2**63) <= v < 2**63)
+        fail("simplex %d index %d is outside the int64 range" % (i // (dim + 1), indices[i]),
+             pos - len(indices) + i)
+    return dim, np.array(coords, dtype=float).reshape(n, dim), simplices
 
 
 def save_mesh(mesh):

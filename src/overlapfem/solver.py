@@ -289,7 +289,10 @@ def _load_vector(domain, rhs):
 
 
 def _dirichlet_fixed(domain):
-    return [(domain.global_index(s, v), val) for s, v, val in domain.dirichlet]
+    if not domain.dirichlet:
+        return []
+    sub, vert, val = (np.array(column) for column in zip(*domain.dirichlet))
+    return list(zip((domain.offsets[sub] + vert).tolist(), val.tolist()))
 
 
 def _every_component_pinned(domain):

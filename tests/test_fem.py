@@ -1,7 +1,9 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -14,12 +16,15 @@ from overlapfem import (
     generate_disk,
     generate_segment,
     gradient_matrix,
+    load_mesh,
     lumped_mass_matrix,
     stiffness_matrix,
 )
 from overlapfem.fem import quadrature_rule
 from overlapfem.mesh import simplex_measures
 from test_geometry import MESHES
+
+DATA = Path(__file__).parent / "data"
 
 
 def monomial_integral_triangle(a, b):
@@ -175,3 +180,31 @@ class TestAssembly:
         # off-diagonal blocks are empty
         assert abs(L[:6, 6:]).sum() == 0
         assert np.abs(L @ np.ones(11)).max() < 1e-12
+
+
+def product_stiffness(mesh, a):
+    """The sparse product G^T diag(a) G, the reference for the element-matrix sum."""
+    G = gradient_matrix(mesh)
+    return (G.T @ sp.diags(np.repeat(a, mesh.dim)) @ G).tocsr()
+
+
+class TestStiffnessElementMatrices:
+    @pytest.mark.parametrize(
+        "mesh",
+        [load_mesh((DATA / "box_a.dmesh").read_text()), generate_segment(-0.5, 2.0, 23)],
+        ids=["box", "segment"],
+    )
+    def test_same_pattern_as_product(self, mesh):
+        a = np.random.default_rng(2).uniform(0.5, 1.0, mesh.num_simplices)
+        L, ref = stiffness_matrix(mesh, a), product_stiffness(mesh, a)
+        np.testing.assert_array_equal(L.indptr, ref.indptr)
+        np.testing.assert_array_equal(L.indices, ref.indices)
+        np.testing.assert_allclose(L.data, ref.data, rtol=0, atol=1e-14 * np.abs(ref.data).max())
+
+    def test_annulus_values_match_product(self):
+        mesh = generate_annulus(1.0, 2.0, 6, 40, 0.1)
+        a = np.random.default_rng(3).uniform(0.5, 1.0, mesh.num_simplices)
+        L, ref = stiffness_matrix(mesh, a), product_stiffness(mesh, a)
+        assert abs(L - ref).max() <= 1e-14 * np.abs(ref.data).max()
+        assert L.has_canonical_format
+        assert (L.data != 0).all()

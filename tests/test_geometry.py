@@ -158,6 +158,15 @@ class TestContainmentTolerance:
         outside = mid * (1.0 + 10.0 * containment_tolerance(mesh) / 50.0)
         assert_matches_oracle(mesh, outside)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e3, 1e5])
+    def test_own_vertices_located_at_any_scale(self, scale):
+        # A slack tied to the mesh size falls under rounding error on tiny meshes.
+        box = load_mesh((DATA / "box_a.dmesh").read_text())
+        q, _ = np.linalg.qr(np.random.default_rng(4).normal(size=(3, 3)))
+        mesh = SimplicialMesh(3, scale * box.vertices @ q.T, box.simplices)
+        assert (locate_points(PointLocator(mesh), mesh.vertices) >= 0).all()
+        assert_matches_oracle(mesh, mesh.vertices)
+
 
 MESHES = st.one_of(
     st.builds(

@@ -1,4 +1,5 @@
 import math
+import re
 from collections import Counter
 from itertools import combinations
 
@@ -25,7 +26,13 @@ from overlapfem import (
     solve_poisson,
     submesh,
 )
-from overlapfem.mesh import _polar_grid_triangles, boundary_facets, simplex_measures
+from overlapfem.mesh import (
+    _polar_grid_triangles,
+    _read_blocks,
+    _read_tokens,
+    boundary_facets,
+    simplex_measures,
+)
 from overlapfem.solver import coupling_for_mode
 from test_geometry import MESHES
 
@@ -270,3 +277,105 @@ class TestDeconstructedDomain:
         coupling_for_mode(dom, "all_vertices")
         assert len(built) == 2
         assert dom.locators is dom.locators
+
+
+def random_simplices(dim, seed, exponent, count=8):
+    """``count`` disjoint simplices with edge matrices I + U (|U| small, so
+    condition number at most 7), randomly oriented, under a random rotation,
+    stretch by 0.5-2 per axis, scale 10^exponent and shift."""
+    rng = np.random.default_rng(seed)
+    edges = np.eye(dim) + rng.uniform(-0.25, 0.25, size=(count, dim, dim))
+    corners = np.concatenate([np.zeros((count, 1, dim)), edges], axis=1)
+    corners += rng.uniform(-5.0, 5.0, size=(count, 1, dim))
+    corners = np.array([c[rng.permutation(dim + 1)] for c in corners])
+    q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+    scale = 10.0**exponent
+    linear = scale * q * rng.uniform(0.5, 2.0, size=dim)
+    vertices = corners.reshape(-1, dim) @ linear.T + scale * rng.uniform(-10, 10, size=dim)
+    return SimplicialMesh(dim, vertices, np.arange(count * (dim + 1)).reshape(count, dim + 1))
+
+
+class TestClosedFormGeometry:
+    @settings(max_examples=60)
+    @given(dim=st.integers(1, 3), seed=st.integers(0, 2**32 - 1), exponent=st.floats(-6.0, 6.0))
+    def test_matches_lapack_property(self, dim, seed, exponent):
+        mesh = random_simplices(dim, seed, exponent)
+        edges = mesh.edges()
+        det = np.linalg.det(edges)
+        assert (det > 0).all()  # construction oriented every simplex
+        np.testing.assert_allclose(mesh.measures, det / math.factorial(dim), rtol=1e-12)
+        inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
+        err = np.abs(mesh.edge_inverses - inv).max(axis=(1, 2))
+        assert (err <= 1e-12 * np.abs(inv).max(axis=(1, 2))).all()
+
+    def test_measures_are_read_only_and_inverses_cached(self):
+        mesh = generate_disk(1.0, 3, 8)
+        assert simplex_measures(mesh) is mesh.measures
+        with pytest.raises(ValueError):
+            mesh.measures[0] = 1.0
+        assert mesh.edge_inverses is mesh.edge_inverses
+
+
+def parse_outcome(parse, text):
+    """The parsed arrays, or the ParseError text."""
+    try:
+        return parse(text)
+    except ParseError as exc:
+        return str(exc)
+
+
+# Tokens the two readers must not tell apart: plain numbers, forms Python and
+# numpy read differently, and malformed or out-of-range ones.
+ODD_TOKENS = ["7", "+3", "-0", "007", "1.5", "1e3", "1E-3", ".5", "5.", "-.5e+2", "1_000",
+              "nan(1)", "nan", "inf", "1e", "e5", "+-1", "1-2", "-", "+", ".", "1.2.3", "0x10",
+              "9223372036854775807", "9223372036854775808", "-9223372036854775809",
+              "1" * 19, "1e400", "SIMPLICES", "VERTICES", "\u0661", "\xa0", "", "\n", "\t1"]
+ODD_SPACES = [" ", "\n", "\t", "\r\n", "\x0b", "\x0c", "\xa0", "\x1c", "\u2003", "", "  \n  "]
+
+
+class TestDmeshArrayParse:
+    @settings(max_examples=200)
+    @given(mesh=MESHES, data=st.data())
+    def test_blocks_match_tokens_property(self, mesh, data):
+        parts = re.split(r"(\s+)", save_mesh(mesh))  # tokens at even positions
+        for _ in range(data.draw(st.integers(0, 2))):
+            i = data.draw(st.integers(0, len(parts) - 1))
+            odd = ODD_TOKENS if i % 2 == 0 else ODD_SPACES
+            parts[i] = data.draw(st.sampled_from(odd))
+        text = "".join(parts)
+        slow = parse_outcome(_read_tokens, text)
+        fast = _read_blocks(text)
+        if fast is not None:
+            assert not isinstance(slow, str), slow
+            assert fast[0] == slow[0]
+            for a, b in zip(fast[1:], slow[1:]):
+                assert a.dtype == b.dtype
+                np.testing.assert_array_equal(a, b)
+
+    def test_plain_text_takes_the_array_path(self):
+        mesh = generate_annulus(1.0, 2.0, 3, 11)
+        dim, vertices, simplices = _read_blocks(save_mesh(mesh))
+        assert dim == 2
+        np.testing.assert_array_equal(vertices, mesh.vertices)
+        np.testing.assert_array_equal(simplices, mesh.simplices)
+
+    def test_glued_keyword_takes_the_token_parser(self):
+        text = "DIM 1\nVERTICES 2\n0\n1SIMPLICES 1\n0 1\n"
+        assert _read_blocks(text) is None
+        with pytest.raises(ParseError, match="line 4: expected number for vertex 1 coordinate"):
+            load_mesh(text)
+
+    def test_count_past_the_int_digit_limit_is_a_parse_error(self):
+        text = "DIM 1\nVERTICES %s\n0\n1\nSIMPLICES 1\n0 1\n" % ("9" * 5000)
+        assert _read_blocks(text) is None
+        with pytest.raises(ParseError, match="line 2: expected integer vertex count"):
+            load_mesh(text)
+
+    @pytest.mark.parametrize("index", ["9223372036854775808", "-9223372036854775809"])
+    def test_out_of_range_index_is_a_parse_error(self, index):
+        text = "DIM 1\nVERTICES 2\n0\n1\nSIMPLICES 1\n0 %s\n" % index
+        assert _read_blocks(text) is None
+        with pytest.raises(ParseError, match="line 6: simplex 0 index %s" % index):
+            _read_tokens(text)
+        with pytest.raises(ParseError, match="line 6: simplex 0 index %s" % index):
+            load_mesh(text)
