@@ -1,6 +1,7 @@
 """Experiment harness: declarative configs, convergence sweeps, probes, CSV output."""
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -48,24 +49,20 @@ __all__ = [
     "CONVERGENCE_HEADER",
 ]
 
-SCENARIOS = (
-    "seg1d_poisson",
-    "seg1d_bilaplace",
-    "annulus2d_laplace",
-    "annulus2d_poisson",
-    "duplicated_mesh",
-    "custom",
-)
-
 CONVERGENCE_HEADER = "h,n_total,error_linf,observed_order,constraint_rows,solve_status"
-PROBE_HEADER = "h,n_total,linear_fit_residual,max_derivative_jump"
-PENALTY_HEADER = "omega,error_linf"
-MODES_HEADER = "mode,eigenvalue"
 
-# Default resolution sweeps: vertices per segment mesh, or the annulus
-# refinement multiplier m (ring/sector counts scale linearly with m).
-_SEGMENT_RESOLUTIONS = (20, 40, 80, 160)
-_ANNULUS_RESOLUTIONS = (1, 2, 4, 8)
+# Default (quadrature, resolutions). Corner sampling integrates 1/coverage
+# exactly when the overlap boundary bisects an element, as in the segment
+# scenarios; the annulus scenarios prefer the cheaper single-point rule. The
+# annulus resolution m scales the ring and sector counts linearly.
+_SEGMENT = (QuadratureSpec.corner_average(), (20, 40, 80, 160))
+_ANNULUS = (QuadratureSpec.barycenter(), (1, 2, 4, 8))
+
+# Per equation kind: the default coupling and the couplings it accepts.
+_COUPLINGS = {
+    "poisson": ("boundary_only", COUPLING_MODES),
+    "bilaplace": ("high_order", BILAPLACE_COUPLINGS),
+}
 
 _LN2 = math.log(2.0)
 
@@ -81,6 +78,7 @@ class ExperimentConfig:
     ``resolutions`` is strictly increasing with at least two entries: vertex
     counts per mesh for the 1D scenarios, the refinement multiplier for the
     annulus scenarios. PDE parameters default per scenario when None.
+    Dirichlet data or mesh files that the scenario does not read are rejected.
     """
 
     scenario: str
@@ -99,99 +97,85 @@ class ExperimentConfig:
     output: str = None
 
     def __post_init__(self):
-        if self.scenario not in SCENARIOS:
+        spec = _SCENARIOS.get(self.scenario)
+        if spec is None:
             raise ConfigError("unknown scenario %r" % (self.scenario,))
+        default_coupling, allowed = _COUPLINGS[spec.kind]
         if self.coupling is None:
-            self.coupling = (
-                "high_order" if self.scenario == "seg1d_bilaplace" else "boundary_only"
-            )
-        allowed = (
-            BILAPLACE_COUPLINGS if self.scenario == "seg1d_bilaplace" else COUPLING_MODES
-        )
+            self.coupling = default_coupling
         if self.coupling not in allowed:
             raise ConfigError(
                 "coupling %r is not valid for scenario %s"
                 % (self.coupling, self.scenario)
             )
         if self.quadrature is None:
-            # Corner sampling integrates 1/coverage exactly when the overlap
-            # boundary bisects an element, as in the segment scenarios; the
-            # annulus scenarios prefer the cheaper single-point rule.
-            self.quadrature = (
-                QuadratureSpec.barycenter()
-                if self.scenario.startswith("annulus")
-                else QuadratureSpec.corner_average()
-            )
+            self.quadrature = spec.defaults[0]
         if self.resolutions is None:
-            self.resolutions = (
-                _ANNULUS_RESOLUTIONS
-                if self.scenario.startswith("annulus")
-                else _SEGMENT_RESOLUTIONS
-            )
+            self.resolutions = spec.defaults[1]
         self.resolutions = tuple(int(n) for n in self.resolutions)
         if len(self.resolutions) < 2:
             raise ConfigError("resolution list needs at least two entries")
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ConfigError("resolution list must be strictly increasing")
-        if self.scenario == "custom" and len(self.mesh_files) < 2:
-            raise ConfigError("custom scenario needs at least two mesh files")
+        for key in _SCENARIO_KEYS:
+            if key not in spec.keys and getattr(self, _KEYS[key][0]) not in (None, ()):
+                raise ConfigError("scenario %s does not read %s" % (self.scenario, key))
+        if "mesh_files" in spec.keys and len(self.mesh_files) < 2:
+            raise ConfigError("%s scenario needs at least two mesh files" % self.scenario)
+        if self.penalty_weights and spec.kind != "poisson":
+            raise ConfigError("penalty_weights needs a Poisson scenario")
         if self.num_modes < 1:
             raise ConfigError("num_modes must be positive")
 
 
-_QUAD_SCHEMES = ("corner_average", "barycenter", "symmetric", "monte_carlo")
-
-_CONFIG_KEYS = (
-    "scenario",
-    "coupling",
-    "quadrature",
-    "n_points",
-    "samples_per_element",
-    "seed",
-    "resolutions",
-    "f",
-    "dirichlet_left",
-    "dirichlet_right",
-    "dirichlet_inner",
-    "dirichlet_outer",
-    "dirichlet",
-    "mesh_files",
-    "penalty_weights",
-    "num_modes",
-    "output",
-)
-
-
-def _parse_float(key, raw):
-    try:
-        value = float(raw)
-    except ValueError:
-        raise ConfigError("%s: expected a number, got %r" % (key, raw)) from None
+def _finite(raw):
+    value = float(raw)
     if not math.isfinite(value):
-        raise ConfigError("%s: expected a finite number, got %r" % (key, raw))
+        raise ValueError("expected a finite number, got %r" % raw)
     return value
 
 
-def _parse_int(key, raw):
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError("%s: expected an integer, got %r" % (key, raw)) from None
+def _triple(raw):
+    parts = raw.split(":")
+    if len(parts) != 3:
+        raise ValueError("expected subdomain:vertex:value triples, got %r" % raw)
+    return int(parts[0]), int(parts[1]), _finite(parts[2])
 
 
-def _parse_triples(raw):
-    out = []
-    for item in raw.split(","):
-        parts = item.split(":")
-        if len(parts) != 3:
-            raise ConfigError(
-                "dirichlet: expected subdomain:vertex:value triples, got %r" % item
-            )
-        out.append(
-            (_parse_int("dirichlet", parts[0]), _parse_int("dirichlet", parts[1]),
-             _parse_float("dirichlet", parts[2]))
-        )
-    return tuple(out)
+def _listed(parse):
+    return lambda raw: tuple(parse(item.strip()) for item in raw.split(","))
+
+
+# Quadrature scheme name -> (QuadratureSpec constructor, its sub-keys with defaults).
+_QUADRATURES = {
+    "corner_average": (QuadratureSpec.corner_average, {}),
+    "barycenter": (QuadratureSpec.barycenter, {}),
+    "symmetric": (QuadratureSpec.symmetric, {"n_points": 10}),
+    "monte_carlo": (QuadratureSpec.monte_carlo, {"samples_per_element": 100, "seed": 0}),
+}
+
+
+# Config key -> (ExperimentConfig field, parser). The quadrature sub-keys have
+# no field: they are arguments of their scheme's constructor.
+_KEYS = {
+    "scenario": ("scenario", str),
+    "coupling": ("coupling", str),
+    "quadrature": ("quadrature", str),
+    "n_points": (None, int),
+    "samples_per_element": (None, int),
+    "seed": (None, int),
+    "resolutions": ("resolutions", _listed(int)),
+    "f": ("f", _finite),
+    "dirichlet_left": ("dirichlet_left", _finite),
+    "dirichlet_right": ("dirichlet_right", _finite),
+    "dirichlet_inner": ("dirichlet_inner", _finite),
+    "dirichlet_outer": ("dirichlet_outer", _finite),
+    "dirichlet": ("dirichlet_triples", _listed(_triple)),
+    "mesh_files": ("mesh_files", _listed(str)),
+    "penalty_weights": ("penalty_weights", _listed(_finite)),
+    "num_modes": ("num_modes", int),
+    "output": ("output", str),
+}
 
 
 def parse_config(text, base_dir=None):
@@ -200,7 +184,7 @@ def parse_config(text, base_dir=None):
     Blank lines and ``#`` comments are ignored. List values are
     comma-separated. ``mesh_files`` paths are resolved against ``base_dir``.
     """
-    raw = {}
+    values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         line = line.split("#", 1)[0].strip()
         if not line:
@@ -208,66 +192,32 @@ def parse_config(text, base_dir=None):
         if "=" not in line:
             raise ConfigError("line %d: expected key = value" % lineno)
         key, _, value = line.partition("=")
-        key, value = key.strip(), value.strip()
-        if key not in _CONFIG_KEYS:
+        key = key.strip()
+        if key not in _KEYS:
             raise ConfigError("line %d: unknown key %r" % (lineno, key))
-        if key in raw:
+        if key in values:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
-        raw[key] = value
-    if "scenario" not in raw:
-        raise ConfigError("missing required key: scenario")
-
-    kwargs = {"scenario": raw.pop("scenario")}
-    if "coupling" in raw:
-        kwargs["coupling"] = raw.pop("coupling")
-    if "quadrature" in raw:
-        scheme = raw.pop("quadrature")
-        if scheme not in _QUAD_SCHEMES:
-            raise ConfigError("unknown quadrature scheme %r" % (scheme,))
         try:
-            if scheme == "symmetric":
-                kwargs["quadrature"] = QuadratureSpec.symmetric(
-                    _parse_int("n_points", raw.pop("n_points", "10"))
-                )
-            elif scheme == "monte_carlo":
-                kwargs["quadrature"] = QuadratureSpec.monte_carlo(
-                    _parse_int(
-                        "samples_per_element", raw.pop("samples_per_element", "100")
-                    ),
-                    _parse_int("seed", raw.pop("seed", "0")),
-                )
-            else:
-                kwargs["quadrature"] = QuadratureSpec(scheme)
+            values[key] = _KEYS[key][1](value.strip())
+        except ValueError as exc:
+            raise ConfigError("line %d: %s: %s" % (lineno, key, exc)) from None
+    if "scenario" not in values:
+        raise ConfigError("missing required key: scenario")
+    if "quadrature" in values:
+        if values["quadrature"] not in _QUADRATURES:
+            raise ConfigError("unknown quadrature scheme %r" % (values["quadrature"],))
+        make, defaults = _QUADRATURES[values["quadrature"]]
+        try:
+            values["quadrature"] = make(*(values.pop(k, d) for k, d in defaults.items()))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    if "resolutions" in raw:
-        kwargs["resolutions"] = tuple(
-            _parse_int("resolutions", v) for v in raw.pop("resolutions").split(",")
-        )
-    for key in ("f", "dirichlet_left", "dirichlet_right", "dirichlet_inner",
-                "dirichlet_outer"):
-        if key in raw:
-            kwargs[key] = _parse_float(key, raw.pop(key))
-    if "dirichlet" in raw:
-        kwargs["dirichlet_triples"] = _parse_triples(raw.pop("dirichlet"))
-    if "mesh_files" in raw:
-        base = Path(base_dir) if base_dir is not None else Path(".")
-        kwargs["mesh_files"] = tuple(
-            str((base / p.strip())) for p in raw.pop("mesh_files").split(",")
-        )
-    if "penalty_weights" in raw:
-        kwargs["penalty_weights"] = tuple(
-            _parse_float("penalty_weights", v)
-            for v in raw.pop("penalty_weights").split(",")
-        )
-    if "num_modes" in raw:
-        kwargs["num_modes"] = _parse_int("num_modes", raw.pop("num_modes"))
-    if "output" in raw:
-        kwargs["output"] = raw.pop("output")
-    for key in ("n_points", "samples_per_element", "seed"):
-        if key in raw:
+    if "mesh_files" in values:
+        base = Path(base_dir or ".")
+        values["mesh_files"] = tuple(str(base / p) for p in values["mesh_files"])
+    for key in values:
+        if _KEYS[key][0] is None:
             raise ConfigError("%s requires the matching quadrature scheme" % key)
-    return ExperimentConfig(**kwargs)
+    return ExperimentConfig(**{_KEYS[key][0]: value for key, value in values.items()})
 
 
 def load_config(path):
@@ -291,103 +241,82 @@ class Scenario:
     z_pins: tuple = ()
 
 
-def _segment_pair(n, bc_left, bc_right):
-    a = generate_segment(0.0, 2.0 / 3.0, n)
-    b = generate_segment(1.0 / 3.0, 1.0, n)
-    dirichlet = [(0, 0, bc_left), (1, n - 1, bc_right)]
+def _pinned_pair(a, b, k, u_first, u_last):
+    """Meshes a and b, the first k vertices of a pinned to u_first, the last k of b to u_last."""
+    nb = b.num_vertices
+    dirichlet = [(0, v, u_first) for v in range(k)]
+    dirichlet += [(1, v, u_last) for v in range(nb - k, nb)]
     return DeconstructedDomain([a, b], dirichlet)
 
 
-def _annulus_ring(n_t, ring):
-    return range(ring * n_t, (ring + 1) * n_t)
+def _segment_pair(n, u_left, u_right):
+    a = generate_segment(0.0, 2.0 / 3.0, n)
+    b = generate_segment(1.0 / 3.0, 1.0, n)
+    return _pinned_pair(a, b, 1, u_left, u_right)
 
 
-def build_scenario(config, resolution):
-    """Materialize ``config.scenario`` at one resolution as domain + reference."""
-    f = config.f
-    if config.scenario == "seg1d_poisson":
-        n = resolution
-        f = 1.0 if f is None else f
-        uL = config.dirichlet_left or 0.0
-        uR = config.dirichlet_right or 0.0
-        domain = _segment_pair(n, uL, uR)
+def _parabola(f, uL, uR):
+    """Reference solution of -u'' = f on [0, 1] with u(0) = uL, u(1) = uR."""
 
-        def reference(pts, f=f, uL=uL, uR=uR):
-            s = pts[:, 0]
-            return f * s * (1.0 - s) / 2.0 + uL + (uR - uL) * s
+    def reference(pts):
+        s = pts[:, 0]
+        return f * s * (1.0 - s) / 2.0 + uL + (uR - uL) * s
 
-        return Scenario(domain, "poisson", f, reference)
+    return reference
 
-    if config.scenario == "seg1d_bilaplace":
-        n = resolution
-        f = 24.0 if f is None else f
-        domain = _segment_pair(n, 0.0, 0.0)
-        z_pins = ((0, 0, 0.0), (1, n - 1, 0.0))
 
-        def reference(pts, f=f):
-            s = pts[:, 0]
-            return (f / 24.0) * (s**4 - 2.0 * s**3 + s)
+def _seg1d_poisson(config, n, f):
+    uL = config.dirichlet_left or 0.0
+    uR = config.dirichlet_right or 0.0
+    return _segment_pair(n, uL, uR), _parabola(f, uL, uR)
 
-        return Scenario(domain, "bilaplace", f, reference, z_pins)
 
-    if config.scenario == "annulus2d_laplace":
-        m = resolution
-        f = 0.0 if f is None else f
-        if f != 0.0:
-            raise ConfigError("annulus2d_laplace requires f = 0")
-        uin = 0.0 if config.dirichlet_inner is None else config.dirichlet_inner
-        uout = 1.0 if config.dirichlet_outer is None else config.dirichlet_outer
-        n_t = 74 * m
-        a = generate_annulus(1.0, 32.0 / 17.0, 5 * m, n_t)
-        b = generate_annulus(26.0 / 17.0, 2.0, 4 * m, n_t)
-        dirichlet = [(0, v, uin) for v in _annulus_ring(n_t, 0)]
-        dirichlet += [(1, v, uout) for v in _annulus_ring(n_t, 4 * m)]
-        domain = DeconstructedDomain([a, b], dirichlet)
+def _seg1d_bilaplace(config, n, f):
+    def reference(pts):
+        s = pts[:, 0]
+        return (f / 24.0) * (s**4 - 2.0 * s**3 + s)
 
-        def reference(pts, uin=uin, uout=uout):
-            r = np.linalg.norm(pts, axis=1)
-            return uin + (uout - uin) * np.log(r) / _LN2
+    return _segment_pair(n, 0.0, 0.0), reference
 
-        return Scenario(domain, "poisson", f, reference)
 
-    if config.scenario == "annulus2d_poisson":
-        m = resolution
-        f = -1.0 if f is None else f
-        if config.dirichlet_inner not in (None, 0.0) or config.dirichlet_outer not in (
-            None,
-            0.0,
-        ):
-            raise ConfigError("annulus2d_poisson requires homogeneous Dirichlet data")
-        n_t = 72 * m
-        a = generate_annulus(1.0, 13.0 / 8.0, 5 * m, n_t)
-        b = generate_annulus(5.0 / 4.0, 2.0, 2 * (3 * m + 1), n_t, math.pi / n_t)
-        dirichlet = [(0, v, 0.0) for v in _annulus_ring(n_t, 0)]
-        dirichlet += [(1, v, 0.0) for v in _annulus_ring(n_t, 2 * (3 * m + 1))]
-        domain = DeconstructedDomain([a, b], dirichlet)
+def _annulus2d_laplace(config, m, f):
+    if f != 0.0:
+        raise ConfigError("annulus2d_laplace requires f = 0")
+    uin = 0.0 if config.dirichlet_inner is None else config.dirichlet_inner
+    uout = 1.0 if config.dirichlet_outer is None else config.dirichlet_outer
+    n_t = 74 * m
+    a = generate_annulus(1.0, 32.0 / 17.0, 5 * m, n_t)
+    b = generate_annulus(26.0 / 17.0, 2.0, 4 * m, n_t)
 
-        def reference(pts, f=f):
-            r = np.linalg.norm(pts, axis=1)
-            return -f * (r**2 - 1.0) / 4.0 + (3.0 * f / (4.0 * _LN2)) * np.log(r)
+    def reference(pts):
+        r = np.linalg.norm(pts, axis=1)
+        return uin + (uout - uin) * np.log(r) / _LN2
 
-        return Scenario(domain, "poisson", f, reference)
+    return _pinned_pair(a, b, n_t, uin, uout), reference
 
-    if config.scenario == "duplicated_mesh":
-        n = resolution
-        f = 1.0 if f is None else f
-        uL = config.dirichlet_left or 0.0
-        uR = config.dirichlet_right or 0.0
-        a = generate_segment(0.0, 1.0, n)
-        b = generate_segment(0.0, 1.0, n)
-        dirichlet = [(s, v, val) for s in (0, 1) for v, val in ((0, uL), (n - 1, uR))]
-        domain = DeconstructedDomain([a, b], dirichlet)
 
-        def reference(pts, f=f, uL=uL, uR=uR):
-            s = pts[:, 0]
-            return f * s * (1.0 - s) / 2.0 + uL + (uR - uL) * s
+def _annulus2d_poisson(config, m, f):
+    n_t = 72 * m
+    a = generate_annulus(1.0, 13.0 / 8.0, 5 * m, n_t)
+    b = generate_annulus(5.0 / 4.0, 2.0, 2 * (3 * m + 1), n_t, math.pi / n_t)
 
-        return Scenario(domain, "poisson", f, reference)
+    def reference(pts):
+        r = np.linalg.norm(pts, axis=1)
+        return -f * (r**2 - 1.0) / 4.0 + (3.0 * f / (4.0 * _LN2)) * np.log(r)
 
-    # custom: user meshes, no closed-form reference
+    return _pinned_pair(a, b, n_t, 0.0, 0.0), reference
+
+
+def _duplicated_mesh(config, n, f):
+    uL = config.dirichlet_left or 0.0
+    uR = config.dirichlet_right or 0.0
+    meshes = [generate_segment(0.0, 1.0, n) for _ in range(2)]
+    dirichlet = [(s, v, val) for s in (0, 1) for v, val in ((0, uL), (n - 1, uR))]
+    return DeconstructedDomain(meshes, dirichlet), _parabola(f, uL, uR)
+
+
+def _custom(config, resolution, f):
+    """User meshes, no closed-form reference."""
     meshes = []
     for path in config.mesh_files:
         try:
@@ -396,9 +325,43 @@ def build_scenario(config, resolution):
             raise ConfigError("cannot read mesh %s: %s" % (path, exc)) from None
         except MeshError as exc:
             raise ConfigError("bad mesh %s: %s" % (path, exc)) from None
-    f = 1.0 if f is None else f
-    domain = DeconstructedDomain(meshes, list(config.dirichlet_triples))
-    return Scenario(domain, "poisson", f, None)
+    return DeconstructedDomain(meshes, list(config.dirichlet_triples)), None
+
+
+# A built-in scenario: build(config, resolution, f) returns the domain and the
+# reference (None without a closed form); f is the default load, kind
+# "poisson" or "bilaplace", defaults _SEGMENT or _ANNULUS, and keys the
+# scenario keys that build reads.
+_ScenarioSpec = namedtuple("_ScenarioSpec", "build f kind defaults keys", defaults=((),))
+_ENDS = ("dirichlet_left", "dirichlet_right")
+_RINGS = ("dirichlet_inner", "dirichlet_outer")
+_SCENARIOS = {
+    "seg1d_poisson": _ScenarioSpec(_seg1d_poisson, 1.0, "poisson", _SEGMENT, _ENDS),
+    "seg1d_bilaplace": _ScenarioSpec(_seg1d_bilaplace, 24.0, "bilaplace", _SEGMENT),
+    "annulus2d_laplace": _ScenarioSpec(_annulus2d_laplace, 0.0, "poisson", _ANNULUS, _RINGS),
+    "annulus2d_poisson": _ScenarioSpec(_annulus2d_poisson, -1.0, "poisson", _ANNULUS),
+    "duplicated_mesh": _ScenarioSpec(_duplicated_mesh, 1.0, "poisson", _SEGMENT, _ENDS),
+    "custom": _ScenarioSpec(_custom, 1.0, "poisson", _SEGMENT, ("dirichlet", "mesh_files")),
+}
+_SCENARIO_KEYS = tuple(dict.fromkeys(k for spec in _SCENARIOS.values() for k in spec.keys))
+
+
+def build_scenario(config, resolution):
+    """Materialize ``config.scenario`` at one resolution as domain + reference."""
+    spec = _SCENARIOS[config.scenario]
+    f = spec.f if config.f is None else config.f
+    domain, reference = spec.build(config, resolution, f)
+    z_pins = ()
+    if spec.kind == "bilaplace":  # simply supported: the Laplacian is 0 where u is pinned
+        z_pins = tuple((s, v, 0.0) for s, v, _ in domain.dirichlet)
+    return Scenario(domain, spec.kind, f, reference, z_pins)
+
+
+def _with_reference(config, resolution):
+    scenario = build_scenario(config, resolution)
+    if scenario.reference is None:
+        raise ConfigError("scenario %s has no closed-form reference" % config.scenario)
+    return scenario
 
 
 def max_circumradius(mesh):
@@ -436,12 +399,10 @@ def run_convergence(config):
     log(e_prev / e_cur) / log(h_prev / h_cur); solver failures are recorded
     in ``solve_status`` and the sweep continues.
     """
-    if config.scenario == "custom":
-        raise ConfigError("custom scenarios have no closed-form reference")
     rows = []
     prev = None
     for resolution in config.resolutions:
-        scenario = build_scenario(config, resolution)
+        scenario = _with_reference(config, resolution)
         h = max(max_circumradius(m) for m in scenario.domain.subdomains)
         row = {
             "h": h,
@@ -472,23 +433,19 @@ def _fmt(value, spec="%.17g"):
     return "" if value is None else spec % value
 
 
+def _csv(header, rows):
+    """CSV text: the header line, then one line per row of field strings."""
+    return "\n".join([header, *(",".join(row) for row in rows)]) + "\n"
+
+
 def convergence_csv(rows):
     """Render :func:`run_convergence` rows as deterministic CSV text."""
-    lines = [CONVERGENCE_HEADER]
-    for r in rows:
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r["h"]),
-                    str(r["n_total"]),
-                    _fmt(r["error_linf"]),
-                    _fmt(r["observed_order"], "%.6g"),
-                    str(r["constraint_rows"]),
-                    r["solve_status"].replace(",", ";"),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(CONVERGENCE_HEADER, (
+        [_fmt(r["h"]), str(r["n_total"]), _fmt(r["error_linf"]),
+         _fmt(r["observed_order"], "%.6g"), str(r["constraint_rows"]),
+         r["solve_status"].replace(",", ";")]
+        for r in rows
+    ))
 
 
 @dataclass
@@ -512,9 +469,8 @@ def _overlap_vertex_indices(domain):
     return np.concatenate(idx), np.concatenate(coords)
 
 
-def _one_sided_slope(mesh, values, vertex):
-    incident = np.nonzero((mesh.simplices == vertex).any(axis=1))[0]
-    i0, i1 = mesh.simplices[int(incident[0])]
+def _slope(mesh, values, simplex):
+    i0, i1 = mesh.simplices[simplex]
     return float(
         (values[i1] - values[i0]) / (mesh.vertices[i1, 0] - mesh.vertices[i0, 0])
     )
@@ -533,12 +489,9 @@ def _derivative_jumps(domain, report):
                 loc = locate_point(domain.locators[b], p)
                 if loc is None:
                     continue
-                ub = report.subdomain_values(b)
-                i0, i1 = mesh_b.simplices[loc.simplex]
-                other = float(
-                    (ub[i1] - ub[i0]) / (mesh_b.vertices[i1, 0] - mesh_b.vertices[i0, 0])
-                )
-                own = _one_sided_slope(mesh_a, ua, v)
+                other = _slope(mesh_b, report.subdomain_values(b), loc.simplex)
+                incident = np.nonzero((mesh_a.simplices == v).any(axis=1))[0]
+                own = _slope(mesh_a, ua, int(incident[0]))
                 jumps.append((a, int(v), float(p[0]), abs(own - other)))
     return jumps
 
@@ -579,20 +532,11 @@ def locking_probe(config):
 
 def probe_csv(reports):
     """Render :func:`locking_probe` reports as CSV text."""
-    lines = [PROBE_HEADER]
-    for r in reports:
-        jump = max((j for *_, j in r.jumps), default=None)
-        lines.append(
-            ",".join(
-                [
-                    _fmt(r.h),
-                    str(r.n_total),
-                    _fmt(r.linear_fit_residual),
-                    _fmt(jump),
-                ]
-            )
-        )
-    return "\n".join(lines) + "\n"
+    return _csv("h,n_total,linear_fit_residual,max_derivative_jump", (
+        [_fmt(r.h), str(r.n_total), _fmt(r.linear_fit_residual),
+         _fmt(max((j for *_, j in r.jumps), default=None))]
+        for r in reports
+    ))
 
 
 def run_penalty_sweep(config):
@@ -605,28 +549,28 @@ def run_penalty_sweep(config):
     """
     if not config.penalty_weights:
         raise ConfigError("penalty_weights is empty")
-    if config.scenario == "custom":
-        raise ConfigError("custom scenarios have no closed-form reference")
-    scenario = build_scenario(config, config.resolutions[-1])
+    scenario = _with_reference(config, config.resolutions[-1])
     domain = scenario.domain
     L, M, _ = assemble_global(domain, config.quadrature)
     _, C = coupling_for_mode(domain, config.coupling)
     b = M @ np.full(domain.total_vertices, scenario.f)
     fixed = _dirichlet_fixed(domain)
-    exact = scenario.reference(domain.stacked_vertices())
     rows = []
     for omega in config.penalty_weights:
         Q = L + 2.0 * float(omega) * (C.T @ C)
         report = solve_kkt(Q, b, fixed=fixed)
-        rows.append((float(omega), float(np.abs(report.u - exact).max())))
+        rows.append((float(omega), _linf_error(scenario, report)))
     return rows
 
 
 def penalty_csv(rows):
-    lines = [PENALTY_HEADER]
-    for omega, err in rows:
-        lines.append("%s,%s" % (_fmt(omega), _fmt(err)))
-    return "\n".join(lines) + "\n"
+    return _csv("omega,error_linf", ((_fmt(omega), _fmt(err)) for omega, err in rows))
+
+
+def _value_coupling(config, domain):
+    """Value coupling: the config's, or the boundary-only rows of a bi-Laplace one."""
+    mode = config.coupling if config.coupling in COUPLING_MODES else "boundary_only"
+    return coupling_for_mode(domain, mode)
 
 
 def run_modes(config):
@@ -634,26 +578,21 @@ def run_modes(config):
     scenario = build_scenario(config, config.resolutions[-1])
     domain = scenario.domain
     L, M, _ = assemble_global(domain, config.quadrature)
-    mode = config.coupling if config.coupling in COUPLING_MODES else "boundary_only"
-    _, A = coupling_for_mode(domain, mode)
+    _, A = _value_coupling(config, domain)
     pairs = constrained_modes(L, M, A, config.num_modes)
     return [val for val, _ in pairs]
 
 
 def modes_csv(values):
-    lines = [MODES_HEADER]
-    for i, val in enumerate(values):
-        lines.append("%d,%s" % (i, _fmt(val)))
-    return "\n".join(lines) + "\n"
+    return _csv("mode,eigenvalue", (("%d" % i, _fmt(val)) for i, val in enumerate(values)))
 
 
 def run_constraints(config):
     """Constraint set of the coarsest resolution under the config's coupling."""
-    scenario = build_scenario(config, config.resolutions[0])
-    mode = config.coupling if config.coupling in COUPLING_MODES else "boundary_only"
-    if mode == "none":
+    if config.coupling == "none":
         raise ConfigError("coupling mode none has no constraint set")
-    cs, _ = coupling_for_mode(scenario.domain, mode)
+    scenario = build_scenario(config, config.resolutions[0])
+    cs, _ = _value_coupling(config, scenario.domain)
     return cs
 
 
@@ -665,11 +604,11 @@ def run_solve(config):
 
 def solution_csv(domain, report):
     """Solution dump: ``subdomain,vertex,x[,y[,z]],u`` per vertex."""
-    header = "subdomain,vertex," + ",".join("xyz"[: domain.dim]) + ",u"
-    lines = [header]
-    for s, mesh in enumerate(domain.subdomains):
-        u = report.subdomain_values(s)
-        for v in range(mesh.num_vertices):
-            coords = ",".join("%.17g" % c for c in mesh.vertices[v])
-            lines.append("%d,%d,%s,%.17g" % (s, v, coords, u[v]))
-    return "\n".join(lines) + "\n"
+
+    def rows():
+        for s, mesh in enumerate(domain.subdomains):
+            u = report.subdomain_values(s)
+            for v in range(mesh.num_vertices):
+                yield ["%d" % s, "%d" % v, *("%.17g" % c for c in mesh.vertices[v]), "%.17g" % u[v]]
+
+    return _csv("subdomain,vertex," + ",".join("xyz"[: domain.dim]) + ",u", rows())

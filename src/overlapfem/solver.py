@@ -31,7 +31,6 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
-STATIONARITY_TOL = 1e-8
 # Dual CG stops at this residual relative to its right-hand side; the
 # residual is A u - c, so it bounds the coupling rows' defect. The
 # preconditioned iteration takes about 30 steps at most on the built-in
@@ -66,9 +65,6 @@ class SolveReport:
 
     def subdomain_values(self, i):
         return self.u[int(self.offsets[i]) : int(self.offsets[i + 1])]
-
-    def subdomain_z(self, i):
-        return self.z[int(self.offsets[i]) : int(self.offsets[i + 1])]
 
 
 def _distinct_rows(A):

@@ -1,4 +1,6 @@
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,7 +20,7 @@ from overlapfem import (
     run_penalty_sweep,
     save_mesh,
 )
-from overlapfem import solver
+from overlapfem import harness, solver
 from overlapfem.cli import main
 from overlapfem.harness import (
     CONVERGENCE_HEADER,
@@ -112,6 +114,30 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize(
+        "scenario, line",
+        [
+            ("seg1d_bilaplace", "dirichlet_left = 5"),
+            ("seg1d_poisson", "dirichlet = 0:0:3"),
+            ("seg1d_poisson", "mesh_files = x.dmesh"),
+            ("seg1d_poisson", "dirichlet_inner = 4"),
+            ("duplicated_mesh", "dirichlet_outer = 1"),
+            ("annulus2d_laplace", "dirichlet_right = 1"),
+            ("annulus2d_poisson", "dirichlet_inner = 0"),
+        ],
+    )
+    def test_rejects_keys_the_scenario_does_not_read(self, tmp_path, capsys, scenario, line):
+        res = "1,2" if scenario.startswith("annulus") else "10,20"
+        text = "scenario = %s\nresolutions = %s\n%s\n" % (scenario, res, line)
+        with pytest.raises(ConfigError, match="does not read"):
+            parse_config(text)
+        out = tmp_path / "table.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "output = %s\n" % out)
+        assert main(["converge", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
+
 
 class TestBuildScenario:
     def test_segment_geometry(self):
@@ -146,6 +172,66 @@ class TestBuildScenario:
         )
         with pytest.raises(ConfigError):
             build_scenario(cfg, 1)
+
+
+# Every built-in scenario with a closed form, each key it reads set away from
+# its default, at two small resolutions.
+FENCE = [
+    ("seg1d_poisson", (10, 20), {"f": 3.0, "dirichlet_left": 0.25, "dirichlet_right": -0.75}),
+    ("seg1d_bilaplace", (10, 20), {"f": 12.0}),
+    ("annulus2d_laplace", (1, 2), {"dirichlet_inner": 0.5, "dirichlet_outer": -1.5}),
+    ("annulus2d_poisson", (1, 2), {"f": 2.0}),
+    ("duplicated_mesh", (10, 20), {"f": 3.0, "dirichlet_left": 0.25, "dirichlet_right": -0.75}),
+]
+
+
+@pytest.mark.parametrize("scenario, resolutions, keys", FENCE, ids=[c[0] for c in FENCE])
+class TestScenarioFence:
+    def test_reference_matches_pins(self, scenario, resolutions, keys):
+        cfg = ExperimentConfig(scenario, resolutions=resolutions, **keys)
+        for resolution in resolutions:
+            sc = build_scenario(cfg, resolution)
+            assert sc.f == keys.get("f", sc.f)
+            pins = sc.domain.dirichlet
+            assert pins
+            pts = np.array([sc.domain.subdomains[s].vertices[v] for s, v, _ in pins])
+            np.testing.assert_allclose(
+                sc.reference(pts), [val for *_, val in pins], rtol=0, atol=1e-12
+            )
+            for name, value in keys.items():
+                if name != "f":
+                    assert value in [val for *_, val in pins]
+            # Laplacian pins, by a central difference of the reference
+            assert (sc.kind == "bilaplace") == bool(sc.z_pins)
+            for s, v, val in sc.z_pins:
+                x = sc.domain.subdomains[s].vertices[v, 0] + np.array([[-1e-4], [0.0], [1e-4]])
+                u = sc.reference(x)
+                assert (u[0] - 2 * u[1] + u[2]) / 1e-8 == pytest.approx(val, abs=1e-6)
+
+    def test_convergence_rows_ok(self, scenario, resolutions, keys):
+        rows = run_convergence(ExperimentConfig(scenario, resolutions=resolutions, **keys))
+        assert [r["solve_status"] for r in rows] == ["ok", "ok"]
+        assert all(np.isfinite(r["error_linf"]) for r in rows)
+
+
+def test_readme_scenario_table_matches_harness():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| scenario | default `f` |", 1)[1].splitlines()[2:]
+    rows = {}
+    for line in table:
+        if not line.startswith("|"):
+            break
+        name, *cells = [c.strip() for c in line.strip("|").split("|")]
+        rows[name.strip("`")] = cells
+    assert set(rows) == set(harness._SCENARIOS)
+    for name, (f, coupling, quadrature, resolutions, keys) in rows.items():
+        spec = harness._SCENARIOS[name]
+        cfg = ExperimentConfig(name, mesh_files=("a", "b") if name == "custom" else ())
+        assert float(f) == spec.f
+        assert coupling == "`%s`" % cfg.coupling
+        assert quadrature == "`%s`" % cfg.quadrature.scheme
+        assert tuple(int(n) for n in resolutions.split(",")) == cfg.resolutions
+        assert tuple(re.findall(r"`(\w+)`", keys)) == spec.keys
 
 
 class TestMaxCircumradius:
@@ -299,6 +385,17 @@ class TestCli:
         ]:
             assert main([command, str(cfg)]) == 0
             assert capsys.readouterr().out.startswith(header)
+
+    def test_penalty_on_bilaplace_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "table.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "scenario = seg1d_bilaplace\nresolutions = 10,20\n"
+            "penalty_weights = 0.1,10\noutput = %s\n" % out
+        )
+        assert main(["converge", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert not out.exists()
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
