@@ -12,7 +12,6 @@ from overlapfem import (
     constraint_matrix,
     constraints_to_csv,
     generate_annulus,
-    generate_disk,
     generate_segment,
     thin_constraints,
 )
@@ -102,19 +101,58 @@ class TestPrecision:
             assert np.abs(C @ X[:, d]).max(initial=0.0) <= 1e-12 * dom.bbox_diagonal()
 
 
+def row_fields(cs, r):
+    """Row r of a constraint set: target, anchor, anchor vertices, coefficients."""
+    row = cs.rows[r]
+    return (
+        tuple(int(x) for x in row.target),
+        tuple(int(x) for x in row.anchor),
+        row.anchor_vertices,
+        row.coefficients,
+    )
+
+
 def constraint_matrix_loop(cs, offsets, N):
+    m = len(cs.rows)
     rows, cols, vals = [], [], []
-    for r, row in enumerate(cs.rows):
-        a, i = row.target
-        b, _ = row.anchor
+    for r in range(m):
+        (a, i), (b, _), anchor_vertices, coefficients = row_fields(cs, r)
         rows.append(r)
         cols.append(int(offsets[a]) + int(i))
         vals.append(1.0)
-        for j, c in zip(row.anchor_vertices, row.coefficients):
+        for j, c in zip(anchor_vertices, coefficients):
             rows.append(r)
             cols.append(int(offsets[b]) + int(j))
             vals.append(-float(c))
-    return sp.csr_matrix((vals, (rows, cols)), shape=(len(cs.rows), N))
+    return sp.csr_matrix((vals, (rows, cols)), shape=(m, N))
+
+
+def thin_constraints_loop(cs):
+    """Dict-based thinning: the input indices of the kept rows, by ascending target.
+
+    A (subdomain, vertex) scores the number of rows involving it as target or
+    anchor vertex; a row scores the mean over its involved vertices, and the
+    least (score, anchor subdomain, anchor simplex, input index) wins.
+    """
+    m = len(cs.rows)
+
+    def involved(r):
+        (a, i), (b, _), anchor_vertices, _ = row_fields(cs, r)
+        return [(a, i)] + [(b, int(j)) for j in anchor_vertices]
+
+    vertex_score = {}
+    for r in range(m):
+        for key in involved(r):
+            vertex_score[key] = vertex_score.get(key, 0) + 1
+    best = {}
+    for r in range(m):
+        keys = involved(r)
+        score = sum(vertex_score[k] for k in keys) / len(keys)
+        target, anchor, _, _ = row_fields(cs, r)
+        rank = (score, anchor[0], anchor[1], r)
+        if target not in best or rank < best[target][0]:
+            best[target] = (rank, r)
+    return [best[t][1] for t in sorted(best)]
 
 
 class TestConstraintMatrix:
@@ -159,6 +197,32 @@ class TestThinning:
         assert sorted(r.target for r in thin.rows) == sorted(targets)
         assert len(thin.rows) < len(cs.rows)
         assert all(any(r is s for s in cs.rows) for r in thin.rows)
+
+    @settings(max_examples=40)
+    @given(
+        mesh=MESHES,
+        moves=st.lists(
+            st.tuples(st.floats(0.05, 0.5), st.floats(0.7, 1.3)), min_size=2, max_size=2
+        ),
+    )
+    def test_matches_loop_property(self, mesh, moves):
+        # Three overlapping meshes: the drawn one and two copies, each scaled
+        # about its low corner and moved along its bounding-box diagonal.
+        lo, hi = mesh.bbox()
+        copies = [
+            SimplicialMesh(mesh.dim, lo + scale * (mesh.vertices - lo) + shift * (hi - lo),
+                           mesh.simplices)
+            for shift, scale in moves
+        ]
+        cs = boundary_only_constraints(DeconstructedDomain([mesh, *copies]))
+        thin = thin_constraints(cs)
+        kept = thin_constraints_loop(cs)
+        assert len(thin.rows) == len(kept)
+        for r, s in enumerate(kept):
+            got, ref = row_fields(thin, r), row_fields(cs, s)
+            assert got[:2] == ref[:2]
+            np.testing.assert_array_equal(got[2], ref[2])
+            np.testing.assert_array_equal(got[3], ref[3])
 
     def test_two_subdomains_unchanged_count(self):
         dom = segment_pair()
