@@ -24,7 +24,6 @@ from .fem import (
     stiffness_matrix,
 )
 from .coupling import (
-    ConstraintRow,
     ConstraintSet,
     all_vertex_constraints,
     boundary_only_constraints,

@@ -8,7 +8,6 @@ import scipy.sparse as sp
 from .geometry import batch_coordinates, locate_points
 
 __all__ = [
-    "ConstraintRow",
     "ConstraintSet",
     "all_vertex_constraints",
     "boundary_only_constraints",
@@ -30,78 +29,72 @@ BOUNDARY_ONLY_THINNED = "boundary_only_thinned"
 
 
 @dataclass
-class ConstraintRow:
-    """One row "target vertex value = barycentric combination in another subdomain"."""
-
-    target: tuple  # (subdomain a, vertex i)
-    anchor: tuple  # (subdomain b, simplex index)
-    anchor_vertices: np.ndarray  # (d+1,) vertex indices of the anchor simplex
-    coefficients: np.ndarray  # (d+1,) barycentric weights over those vertices
-
-
-@dataclass
 class ConstraintSet:
-    rows: list
+    """Rows "target vertex value = barycentric combination in another subdomain".
+
+    Row r reads u(target[r]) = coefficients[r] . u(anchor_vertices[r]), the
+    anchor vertices taken in subdomain anchor[r, 0]. ``target`` (m, 2) holds
+    (subdomain a, vertex i); ``anchor`` (m, 2) holds (subdomain b, simplex
+    index); ``anchor_vertices`` (m, d+1) the vertices of that simplex and
+    ``coefficients`` (m, d+1) the barycentric weights over them.
+    """
+
     mode: str
+    target: np.ndarray
+    anchor: np.ndarray
+    anchor_vertices: np.ndarray
+    coefficients: np.ndarray
+
+    def __len__(self):
+        return len(self.target)
+
+    def take(self, rows, mode=None):
+        """The given rows, in the given order, as a new set."""
+        arrays = (self.target, self.anchor, self.anchor_vertices, self.coefficients)
+        return ConstraintSet(mode or self.mode, *(x[rows] for x in arrays))
 
 
-def _pinned(domain):
-    return {(sub, vert) for sub, vert, _ in domain.dirichlet}
-
-
-def _pair_constraints(domain, targets_per_subdomain):
-    pinned = _pinned(domain)
+def _pair_constraints(domain, targets_per_subdomain, mode):
+    """Rows for a, then b != a, then the targets of a in the given order."""
+    pinned = np.zeros(domain.total_vertices, dtype=bool)
+    pinned[[domain.global_index(s, v) for s, v, _ in domain.dirichlet]] = True
+    d1 = domain.dim + 1
+    blocks = [(np.empty((0, 2), int), np.empty((0, 2), int),
+               np.empty((0, d1), int), np.empty((0, d1)))]
     K = len(domain.subdomains)
-    rows = []
     for a in range(K):
-        mesh_a = domain.subdomains[a]
+        verts = np.asarray(targets_per_subdomain[a], dtype=np.int64)
+        verts = verts[~pinned[domain.offsets[a] + verts]]
+        pts = domain.subdomains[a].vertices[verts]
         for b in range(K):
-            if b == a:
+            if b == a or verts.size == 0:
                 continue
-            mesh_b = domain.subdomains[b]
             tree_b = domain.locators[b]
-            verts = np.array(
-                [v for v in targets_per_subdomain[a] if (a, v) not in pinned],
-                dtype=np.int64,
-            )
-            if verts.size == 0:
-                continue
-            pts = mesh_a.vertices[verts]
             simplex = locate_points(tree_b, pts)
             hit = simplex >= 0
             coords = batch_coordinates(tree_b, pts[hit], simplex[hit])
             coords = np.round(coords / _COEFF_GRID) * _COEFF_GRID
             coords[:, 0] = 1.0 - coords[:, 1:].sum(axis=1)
-            for v, t, cf in zip(verts[hit], simplex[hit], coords):
-                rows.append(
-                    ConstraintRow(
-                        (a, int(v)),
-                        (b, int(t)),
-                        mesh_b.simplices[t].copy(),
-                        cf,
-                    )
-                )
-    return rows
+            v, t = verts[hit], simplex[hit]
+            blocks.append((
+                np.column_stack([np.full_like(v, a), v]),
+                np.column_stack([np.full_like(t, b), t]),
+                domain.subdomains[b].simplices[t],
+                coords,
+            ))
+    return ConstraintSet(mode, *(np.concatenate(column) for column in zip(*blocks)))
 
 
 def all_vertex_constraints(domain):
     """One row per ordered subdomain pair and vertex of one mesh inside the other."""
     targets = [range(m.num_vertices) for m in domain.subdomains]
-    return ConstraintSet(_pair_constraints(domain, targets), ALL_VERTICES)
+    return _pair_constraints(domain, targets, ALL_VERTICES)
 
 
 def boundary_only_constraints(domain):
     """As :func:`all_vertex_constraints`, but targets only subdomain-boundary vertices."""
     targets = [sorted(b) for b in domain.boundary_vertex_sets]
-    return ConstraintSet(_pair_constraints(domain, targets), BOUNDARY_ONLY)
-
-
-def _involved_vertices(row):
-    a, i = row.target
-    b, _ = row.anchor
-    yield (a, int(i))
-    for j in row.anchor_vertices:
-        yield (b, int(j))
+    return _pair_constraints(domain, targets, BOUNDARY_ONLY)
 
 
 def thin_constraints(cs):
@@ -111,56 +104,45 @@ def thin_constraints(cs):
     target or anchor vertex; a row's score is the mean score of its involved
     vertices (target included). Scores are computed in a single pass on the
     input; ties break toward the lowest (anchor subdomain, anchor simplex,
-    construction order). Kept rows are verbatim members of the input.
+    construction order). Kept rows are input rows, by ascending target.
     """
     if cs.mode != BOUNDARY_ONLY:
         raise ValueError("thinning expects a boundary_only constraint set")
-    vertex_score = {}
-    for row in cs.rows:
-        for key in _involved_vertices(row):
-            vertex_score[key] = vertex_score.get(key, 0) + 1
-    best = {}
-    for order, row in enumerate(cs.rows):
-        involved = list(_involved_vertices(row))
-        score = sum(vertex_score[k] for k in involved) / len(involved)
-        rank = (score, row.anchor[0], row.anchor[1], order)
-        current = best.get(row.target)
-        if current is None or rank < current[0]:
-            best[row.target] = (rank, row)
-    kept = [best[t][1] for t in sorted(best)]
-    return ConstraintSet(kept, BOUNDARY_ONLY_THINNED)
+    # Involved (subdomain, vertex) pairs, shape (m, d+2, 2): target, then anchor vertices.
+    anchor_sub = np.broadcast_to(cs.anchor[:, :1], cs.anchor_vertices.shape)
+    involved = np.concatenate(
+        [cs.target[:, None, :], np.stack([anchor_sub, cs.anchor_vertices], axis=2)], axis=1
+    )
+    _, inverse = np.unique(involved.reshape(-1, 2), axis=0, return_inverse=True)
+    inverse = inverse.ravel()  # numpy 1.x and 2.x shape it differently
+    # Every row involves d+2 vertices, so the sum ranks rows as the mean does.
+    score = np.bincount(inverse)[inverse].reshape(involved.shape[:2]).sum(axis=1)
+    # lexsort is stable, so construction order breaks the remaining ties.
+    order = np.lexsort((cs.anchor[:, 1], cs.anchor[:, 0], score, cs.target[:, 1], cs.target[:, 0]))
+    target = cs.target[order]
+    first = np.ones(len(cs), dtype=bool)
+    first[1:] = (target[1:] != target[:-1]).any(axis=1)
+    return cs.take(order[first], BOUNDARY_ONLY_THINNED)
 
 
 def constraint_matrix(cs, offsets, N):
     """Materialize rows as a sparse (m, N) matrix: +1 at targets, -coeffs at anchors."""
-    m = len(cs.rows)
-    if m == 0:
-        return sp.csr_matrix((0, N))
     offsets = np.asarray(offsets, dtype=np.int64)
-    target = np.array([row.target for row in cs.rows], dtype=np.int64)
-    anchor = np.array([row.anchor[0] for row in cs.rows], dtype=np.int64)
     cols = np.column_stack([
-        offsets[target[:, 0]] + target[:, 1],
-        offsets[anchor][:, None] + np.array([row.anchor_vertices for row in cs.rows]),
+        offsets[cs.target[:, 0]] + cs.target[:, 1],
+        offsets[cs.anchor[:, 0]][:, None] + cs.anchor_vertices,
     ])
-    vals = np.column_stack([np.ones(m), -np.array([row.coefficients for row in cs.rows])])
-    rows = np.repeat(np.arange(m), cols.shape[1])
-    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(m, N))
+    vals = np.column_stack([np.ones(len(cs)), -cs.coefficients])
+    rows = np.repeat(np.arange(len(cs)), cols.shape[1])
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(len(cs), N))
 
 
 def constraints_to_csv(cs):
     """CSV dump: target_subdomain,target_vertex,anchor_subdomain,anchor_simplex,c0,...,cd."""
-    if cs.rows:
-        ncoef = len(cs.rows[0].coefficients)
-    else:
-        ncoef = 0
+    ncoef = cs.coefficients.shape[1] if len(cs) else 0
     header = "target_subdomain,target_vertex,anchor_subdomain,anchor_simplex"
     header += "".join(",c%d" % i for i in range(ncoef))
-    lines = [header]
-    for row in cs.rows:
-        fields = [row.target[0], row.target[1], row.anchor[0], row.anchor[1]]
-        lines.append(
-            ",".join(str(f) for f in fields)
-            + "".join(",%.17g" % c for c in row.coefficients)
-        )
-    return "\n".join(lines) + "\n"
+    fmt = "%d,%d,%d,%d" + ",%.17g" * ncoef
+    ids = np.column_stack([cs.target, cs.anchor]).tolist()
+    lines = [fmt % (*i, *c) for i, c in zip(ids, cs.coefficients.tolist())]
+    return "\n".join([header, *lines]) + "\n"

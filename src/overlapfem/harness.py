@@ -124,6 +124,8 @@ class ExperimentConfig:
             raise ConfigError("%s scenario needs at least two mesh files" % self.scenario)
         if self.penalty_weights and spec.kind != "poisson":
             raise ConfigError("penalty_weights needs a Poisson scenario")
+        if any(w <= 0 for w in self.penalty_weights):
+            raise ConfigError("penalty_weights must be positive")
         if self.num_modes < 1:
             raise ConfigError("num_modes must be positive")
 
@@ -182,7 +184,7 @@ def parse_config(text, base_dir=None):
     """Parse ``key = value`` experiment text into an :class:`ExperimentConfig`.
 
     Blank lines and ``#`` comments are ignored. List values are
-    comma-separated. ``mesh_files`` paths are resolved against ``base_dir``.
+    comma-separated. Relative ``mesh_files`` and ``output`` paths resolve against ``base_dir``.
     """
     values = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -211,9 +213,11 @@ def parse_config(text, base_dir=None):
             values["quadrature"] = make(*(values.pop(k, d) for k, d in defaults.items()))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
+    base = Path(base_dir or ".")
     if "mesh_files" in values:
-        base = Path(base_dir or ".")
         values["mesh_files"] = tuple(str(base / p) for p in values["mesh_files"])
+    if "output" in values:
+        values["output"] = str(base / values["output"])
     for key in values:
         if _KEYS[key][0] is None:
             raise ConfigError("%s requires the matching quadrature scheme" % key)
@@ -221,7 +225,7 @@ def parse_config(text, base_dir=None):
 
 
 def load_config(path):
-    """Read and parse a config file; relative mesh paths resolve next to it."""
+    """Read and parse a config file; relative mesh and output paths resolve next to it."""
     path = Path(path)
     try:
         text = path.read_text()
@@ -417,8 +421,7 @@ def run_convergence(config):
         except SolverError as exc:
             row["solve_status"] = "failed: %s" % exc
         else:
-            if report.constraints is not None:
-                row["constraint_rows"] = len(report.constraints.rows)
+            row["constraint_rows"] = len(report.constraints or ())
             row["error_linf"] = _linf_error(scenario, report)
             if prev is not None and row["error_linf"] > 0:
                 row["observed_order"] = math.log(

@@ -183,7 +183,7 @@ class DeconstructedDomain:
     """An ordered union of overlapping subdomain meshes plus Dirichlet data.
 
     ``dirichlet`` holds (subdomain index, local vertex index, value) triples;
-    each pinned vertex must lie on its subdomain's boundary.
+    each pinned vertex must lie on its subdomain's boundary and be pinned once.
     """
 
     subdomains: list
@@ -195,6 +195,7 @@ class DeconstructedDomain:
         dims = {m.dim for m in self.subdomains}
         if len(dims) != 1:
             raise MeshError("subdomains have mixed dimensions %r" % sorted(dims))
+        pinned = set()
         for sub, vert, _ in self.dirichlet:
             if not 0 <= sub < len(self.subdomains):
                 raise MeshError("dirichlet subdomain index %d out of range" % sub)
@@ -202,6 +203,9 @@ class DeconstructedDomain:
                 raise MeshError(
                     "dirichlet vertex %d of subdomain %d is not a boundary vertex" % (vert, sub)
                 )
+            if (sub, vert) in pinned:
+                raise MeshError("dirichlet vertex %d of subdomain %d pinned twice" % (vert, sub))
+            pinned.add((sub, vert))
 
     @cached_property
     def boundary_vertex_sets(self):

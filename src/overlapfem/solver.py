@@ -10,7 +10,6 @@ from .coupling import (
     ALL_VERTICES,
     BOUNDARY_ONLY,
     BOUNDARY_ONLY_THINNED,
-    ConstraintSet,
     all_vertex_constraints,
     boundary_only_constraints,
     constraint_matrix,
@@ -351,33 +350,24 @@ def implicit_step(domain, quad, mode, alpha, u0, rhs=None):
     return _coupled_solve(domain, quad, mode, rhs, alpha)
 
 
-def _one_sided_gradient_row(mesh, vertex, offset):
-    """1D only: sparse coefficients of the interpolant slope on the element at a boundary vertex."""
-    incident = np.nonzero((mesh.simplices == vertex).any(axis=1))[0]
-    e = int(incident[0])
-    i0, i1 = mesh.simplices[e]
-    h = float(mesh.vertices[i1, 0] - mesh.vertices[i0, 0])
-    return {offset + int(i0): -1.0 / h, offset + int(i1): 1.0 / h}
-
-
 def _low_order_rows(domain, cs):
-    """Derivative-matching rows for 1D low-order coupling, one per value row."""
+    """1D low-order coupling, one row per value row: the slope on the target
+    vertex's lowest-index element equals the slope on the anchor element."""
     if domain.dim != 1:
         raise SolverError("low_order coupling is only discretized for d=1")
     offsets = domain.offsets
-    data, ri, ci = [], [], []
-    for r, row in enumerate(cs.rows):
-        a, i = row.target
-        b, t = row.anchor
-        coeffs = _one_sided_gradient_row(domain.subdomains[a], i, int(offsets[a]))
-        mesh_b = domain.subdomains[b]
-        j0, j1 = mesh_b.simplices[t]
-        h = float(mesh_b.vertices[j1, 0] - mesh_b.vertices[j0, 0])
-        coeffs.update({int(offsets[b]) + int(j0): 1.0 / h, int(offsets[b]) + int(j1): -1.0 / h})
-        ri += [r] * len(coeffs)
-        ci += list(coeffs)
-        data += list(coeffs.values())
-    return sp.csr_matrix((data, (ri, ci)), shape=(len(cs.rows), domain.total_vertices))
+    x = domain.stacked_vertices()[:, 0]
+    elements = np.concatenate([m.simplices + o for m, o in zip(domain.subdomains, offsets)])
+    first = np.full(domain.total_vertices, len(elements))
+    np.minimum.at(first, elements.ravel(), np.repeat(np.arange(len(elements)), 2))
+    element_offsets = np.cumsum([0] + [len(m.simplices) for m in domain.subdomains])
+    e = elements[first[offsets[cs.target[:, 0]] + cs.target[:, 1]]]
+    f = elements[element_offsets[cs.anchor[:, 0]] + cs.anchor[:, 1]]
+    ht, ha = x[e[:, 1]] - x[e[:, 0]], x[f[:, 1]] - x[f[:, 0]]
+    cols = np.column_stack([e, f])
+    vals = np.column_stack([-1.0 / ht, 1.0 / ht, 1.0 / ha, -1.0 / ha])
+    rows = np.repeat(np.arange(len(cs)), 4)
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(len(cs), len(x)))
 
 
 def solve_bilaplace(
@@ -406,10 +396,9 @@ def solve_bilaplace(
     cs, Avalue = coupling_for_mode(domain, "boundary_only")
     keep = _distinct_rows(Avalue)
     Avalue = Avalue[keep]
-    cs_rows = [cs.rows[i] for i in keep]
-    dropped = len(cs.rows) - len(keep)
+    dropped = len(cs) - len(keep)
     if coupling == "low_order":
-        Alo = _low_order_rows(domain, ConstraintSet(cs_rows, cs.mode))
+        Alo = _low_order_rows(domain, cs.take(keep))
         Au = sp.vstack([Avalue, Alo], format="csr")
         Az = sp.csr_matrix((0, N))
     elif coupling == "high_order":

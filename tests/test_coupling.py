@@ -33,7 +33,7 @@ class TestConstraintConstruction:
         dom = segment_pair(9)
         cs = boundary_only_constraints(dom)
         # one overlapped boundary vertex per mesh: 0.7 in B and 0.3 in A
-        assert sorted(r.target for r in cs.rows) == [(0, 8), (1, 0)]
+        assert sorted(map(tuple, cs.target.tolist())) == [(0, 8), (1, 0)]
 
     def test_all_vertices_covers_overlap(self):
         dom = segment_pair(9)
@@ -45,24 +45,24 @@ class TestConstraintConstruction:
                 for v in range(mesh.num_vertices)
                 if lo - 1e-12 <= mesh.vertices[v, 0] <= hi + 1e-12
             }
-            assert {r.target[1] for r in cs.rows if r.target[0] == a} == inside
+            assert set(cs.target[cs.target[:, 0] == a, 1].tolist()) == inside
 
     def test_pinned_targets_are_skipped(self):
         a = generate_segment(0.0, 0.7, 9)
         b = generate_segment(0.3, 1.0, 9)
         dom = DeconstructedDomain([a, b], [(0, 8, 1.0)])
         cs = boundary_only_constraints(dom)
-        assert sorted(r.target for r in cs.rows) == [(1, 0)]
+        assert sorted(map(tuple, cs.target.tolist())) == [(1, 0)]
 
     def test_coefficients_sum_to_one_exactly(self):
         dom = DeconstructedDomain(
             [generate_annulus(1.0, 1.6, 2, 13), generate_annulus(1.4, 2.0, 2, 15, 0.1)]
         )
         cs = all_vertex_constraints(dom)
-        assert cs.rows
-        for row in cs.rows:
+        assert len(cs)
+        for coefficients in cs.coefficients:
             total = 0.0
-            for c in row.coefficients:
+            for c in coefficients:
                 total += c
             assert total == 1.0
 
@@ -93,8 +93,8 @@ class TestPrecision:
         moved = lo + scale * (mesh.vertices - lo) + shift * (hi - lo)
         dom = DeconstructedDomain([mesh, SimplicialMesh(mesh.dim, moved, mesh.simplices)])
         cs = builder(dom)
-        for row in cs.rows:
-            assert row.coefficients.sum() == 1.0
+        for coefficients in cs.coefficients:
+            assert coefficients.sum() == 1.0
         C = matrix_of(dom, cs)
         X = dom.stacked_vertices()
         for d in range(dom.dim):
@@ -103,17 +103,16 @@ class TestPrecision:
 
 def row_fields(cs, r):
     """Row r of a constraint set: target, anchor, anchor vertices, coefficients."""
-    row = cs.rows[r]
     return (
-        tuple(int(x) for x in row.target),
-        tuple(int(x) for x in row.anchor),
-        row.anchor_vertices,
-        row.coefficients,
+        tuple(int(x) for x in cs.target[r]),
+        tuple(int(x) for x in cs.anchor[r]),
+        cs.anchor_vertices[r],
+        cs.coefficients[r],
     )
 
 
 def constraint_matrix_loop(cs, offsets, N):
-    m = len(cs.rows)
+    m = len(cs)
     rows, cols, vals = [], [], []
     for r in range(m):
         (a, i), (b, _), anchor_vertices, coefficients = row_fields(cs, r)
@@ -134,7 +133,7 @@ def thin_constraints_loop(cs):
     anchor vertex; a row scores the mean over its involved vertices, and the
     least (score, anchor subdomain, anchor simplex, input index) wins.
     """
-    m = len(cs.rows)
+    m = len(cs)
 
     def involved(r):
         (a, i), (b, _), anchor_vertices, _ = row_fields(cs, r)
@@ -193,10 +192,12 @@ class TestThinning:
         dom = DeconstructedDomain(meshes)
         cs = boundary_only_constraints(dom)
         thin = thin_constraints(cs)
-        targets = {r.target for r in cs.rows}
-        assert sorted(r.target for r in thin.rows) == sorted(targets)
-        assert len(thin.rows) < len(cs.rows)
-        assert all(any(r is s for s in cs.rows) for r in thin.rows)
+        targets = set(map(tuple, cs.target.tolist()))
+        assert sorted(map(tuple, thin.target.tolist())) == sorted(targets)
+        assert len(thin) < len(cs)
+        inputs = np.column_stack([cs.target, cs.anchor, cs.anchor_vertices, cs.coefficients])
+        kept = np.column_stack([thin.target, thin.anchor, thin.anchor_vertices, thin.coefficients])
+        assert all((inputs == row).all(axis=1).any() for row in kept)
 
     @settings(max_examples=40)
     @given(
@@ -217,18 +218,26 @@ class TestThinning:
         cs = boundary_only_constraints(DeconstructedDomain([mesh, *copies]))
         thin = thin_constraints(cs)
         kept = thin_constraints_loop(cs)
-        assert len(thin.rows) == len(kept)
+        assert len(thin) == len(kept)
         for r, s in enumerate(kept):
             got, ref = row_fields(thin, r), row_fields(cs, s)
             assert got[:2] == ref[:2]
             np.testing.assert_array_equal(got[2], ref[2])
             np.testing.assert_array_equal(got[3], ref[3])
 
+    def test_empty_set(self):
+        one_mesh = DeconstructedDomain([generate_segment(0.0, 1.0, 9)])
+        thin = thin_constraints(boundary_only_constraints(one_mesh))
+        assert len(thin) == 0 and thin.mode == "boundary_only_thinned"
+        assert constraints_to_csv(thin) == (
+            "target_subdomain,target_vertex,anchor_subdomain,anchor_simplex\n"
+        )
+
     def test_two_subdomains_unchanged_count(self):
         dom = segment_pair()
         cs = boundary_only_constraints(dom)
         thin = thin_constraints(cs)
-        assert len(thin.rows) == len(cs.rows)
+        assert len(thin) == len(cs)
 
 
 class TestCsv:
@@ -240,7 +249,7 @@ class TestCsv:
         assert lines[0] == (
             "target_subdomain,target_vertex,anchor_subdomain,anchor_simplex,c0,c1"
         )
-        assert len(lines) == 1 + len(cs.rows)
+        assert len(lines) == 1 + len(cs)
         fields = lines[1].split(",")
         assert len(fields) == 6
         assert float(fields[4]) + float(fields[5]) == pytest.approx(1.0)

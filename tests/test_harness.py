@@ -114,6 +114,26 @@ class TestParseConfig:
         with pytest.raises(ConfigError):
             parse_config(text)
 
+    @pytest.mark.parametrize("weights", ["-5,0", "0", "1,-0.5"])
+    def test_rejects_non_positive_penalty_weights(self, tmp_path, capsys, weights):
+        text = "scenario = seg1d_poisson\nresolutions = 10,20\npenalty_weights = %s\n" % weights
+        with pytest.raises(ConfigError, match="penalty_weights must be positive"):
+            parse_config(text)
+        out = tmp_path / "table.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(text + "output = %s\n" % out)
+        assert main(["converge", str(cfg)]) == 1
+        assert capsys.readouterr().err.startswith("config error:")
+        assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_relative_paths_resolve_against_base_dir(self, tmp_path):
+        text = "scenario = seg1d_poisson\noutput = out.csv\n"
+        assert parse_config(text).output == "out.csv"
+        assert parse_config(text, base_dir="runs").output == str(Path("runs", "out.csv"))
+        absolute = tmp_path / "out.csv"
+        text = "scenario = seg1d_poisson\noutput = %s\n" % absolute
+        assert parse_config(text, base_dir="runs").output == str(absolute)
+
     @pytest.mark.parametrize(
         "scenario, line",
         [
@@ -339,7 +359,7 @@ class TestOtherRunners:
     def test_run_constraints_mode(self):
         cfg = ExperimentConfig("seg1d_poisson", resolutions=(10, 20))
         cs = run_constraints(cfg)
-        assert len(cs.rows) == 2
+        assert len(cs) == 2
         with pytest.raises(ConfigError):
             run_constraints(
                 ExperimentConfig("seg1d_poisson", coupling="none", resolutions=(10, 20))
@@ -373,6 +393,30 @@ class TestCli:
         assert main(["converge", str(cfg)]) == 0
         sidecar = tmp_path / "table.csv.penalty.csv"
         assert sidecar.read_text().splitlines()[0] == "omega,error_linf"
+
+    def test_relative_output_lands_next_to_config(self, tmp_path, monkeypatch):
+        (tmp_path / "cfgdir").mkdir()
+        (tmp_path / "elsewhere").mkdir()
+        (tmp_path / "cfgdir" / "o.cfg").write_text(
+            "scenario = seg1d_poisson\nresolutions = 10,20\noutput = out.csv\n"
+        )
+        monkeypatch.chdir(tmp_path / "elsewhere")
+        assert main(["converge", "../cfgdir/o.cfg"]) == 0
+        assert (tmp_path / "cfgdir" / "out.csv").read_text().startswith(CONVERGENCE_HEADER)
+        assert list((tmp_path / "elsewhere").iterdir()) == []
+
+    @pytest.mark.parametrize("pins", ["0:0:1,0:0:2", "0:0:1,0:0:1"])
+    def test_vertex_pinned_twice_is_config_error(self, tmp_path, capsys, pins):
+        data = Path(__file__).parent / "data"
+        out = tmp_path / "u.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text(
+            "scenario = custom\nmesh_files = %s,%s\ndirichlet = %s\noutput = %s\n"
+            % (data / "box_a.dmesh", data / "box_b.dmesh", pins, out)
+        )
+        assert main(["solve", str(cfg)]) == 1
+        assert "pinned twice" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_probe_solve_modes_constraints(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"

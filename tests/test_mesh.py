@@ -254,6 +254,12 @@ class TestDeconstructedDomain:
         with pytest.raises(MeshError):
             DeconstructedDomain([a], [(1, 0, 1.0)])
 
+    def test_vertex_pinned_twice_rejected(self):
+        a = generate_segment(0.0, 1.0, 5)
+        for pins in ([(0, 0, 1.0), (0, 0, 2.0)], [(0, 4, 0.0), (0, 0, 1.0), (0, 4, 0.0)]):
+            with pytest.raises(MeshError, match="pinned twice"):
+                DeconstructedDomain([a], pins)
+
     def test_boundary_vertex_sets_are_computed_once(self):
         meshes = [generate_annulus(1.0, 1.6, 2, 9), generate_disk(1.0, 3, 8)]
         dom = DeconstructedDomain(meshes, [(0, 0, 1.0)])

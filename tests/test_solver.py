@@ -158,6 +158,20 @@ class TestBilaplace:
         with pytest.raises(SolverError):
             solve_bilaplace(dom, QUAD, "low_order")
 
+    def test_low_order_rows_match_slopes(self):
+        # Subdomain k carries u = slope[k] x, so each row reads the target
+        # subdomain's slope minus the anchor subdomain's.
+        meshes = [generate_segment(0.0, 0.6, 7), generate_segment(0.2, 0.8, 10),
+                  generate_segment(0.4, 1.0, 5)]
+        dom = DeconstructedDomain(meshes)
+        cs, _ = coupling_for_mode(dom, "boundary_only")
+        slope = np.array([1.0, 2.0, 5.0])
+        u = np.concatenate([k * m.vertices[:, 0] for k, m in zip(slope, meshes)])
+        rows = solver._low_order_rows(dom, cs)
+        assert rows.shape == (len(cs), dom.total_vertices)
+        expected = slope[cs.target[:, 0]] - slope[cs.anchor[:, 0]]
+        np.testing.assert_allclose(rows @ u, expected, rtol=0, atol=1e-12)
+
     def test_unknown_coupling_rejected(self):
         dom, _ = self.quartic_domain(10)
         with pytest.raises(SolverError):
