@@ -30,12 +30,15 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
-# Dual CG stops at this residual relative to its right-hand side; the
-# residual is A u - c, so it bounds the coupling rows' defect. The
-# preconditioned iteration takes about 30 steps at most on the built-in
-# scenarios and the benchmark boxes.
-DUAL_CG_RTOL = 1e-12
-DUAL_CG_MAX_ITERATIONS = 1000
+# The substitution core's CG stops at this residual relative to its
+# right-hand side Z^T (b - Q z0).
+CG_RTOL = 1e-12
+# Jacobi-preconditioned CG needs a number of iterations that grows like 1/h:
+# 12, 29, 64 and 132 on annulus2d_poisson at m = 1, 2, 4, 8 (h halves at each
+# step), and 112 to 115 on the two 16^3 boxes of the box3d-ingest benchmark,
+# depending on the data. The cap leaves room for meshes about seven times
+# finer than the finest of these.
+CG_MAX_ITERATIONS = 1000
 
 COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY, BOUNDARY_ONLY_THINNED)
 BILAPLACE_COUPLINGS = ("value_only", "low_order", "high_order")
@@ -59,8 +62,8 @@ class SolveReport:
     energy: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
-    path: str = None  # "saddle_lu", "saddle_lu_eps" or "dual_cg"
-    iterations: int = 0  # CG iterations; 0 off the dual path
+    path: str = None  # "saddle_lu", "saddle_lu_eps" or "substitution_cg"
+    iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle LU
 
     def subdomain_values(self, i):
         return self.u[int(self.offsets[i]) : int(self.offsets[i + 1])]
@@ -72,21 +75,22 @@ def _distinct_rows(A):
     Reciprocal coupling rows at coincident vertices are exact negations of
     each other, so this finds them without factorizing A.
     """
-    A = sp.csr_matrix(A, copy=True)
+    A = sp.csr_matrix(A, dtype=float, copy=True)
     A.eliminate_zeros()
     A.sort_indices()
-    seen = set()
-    keep = []
-    for r in range(A.shape[0]):
-        lo, hi = A.indptr[r], A.indptr[r + 1]
-        vals = A.data[lo:hi]
-        if vals.size and vals[0] < 0:
-            vals = -vals
-        key = (A.indices[lo:hi].tobytes(), vals.tobytes())
-        if key not in seen:
-            seen.add(key)
-            keep.append(r)
-    return np.array(keep, dtype=np.int64)
+    lengths = np.diff(A.indptr)
+    starts = A.indptr[:-1]
+    negative = np.zeros(A.shape[0], dtype=bool)
+    negative[lengths > 0] = A.data[starts[lengths > 0]] < 0
+    # Rows are compared bit for bit, after a sign flip that makes the first value positive.
+    values = np.where(np.repeat(negative, lengths), -A.data, A.data).view(np.int64)
+    keep = [np.flatnonzero(lengths == 0)[:1]]
+    for n in np.unique(lengths[lengths > 0]):
+        rows = np.flatnonzero(lengths == n)
+        at = starts[rows, None] + np.arange(n)
+        _, first = np.unique(np.hstack([A.indices[at], values[at]]), axis=0, return_index=True)
+        keep.append(rows[first])
+    return np.sort(np.concatenate(keep))
 
 
 class _SaddleSolver:
@@ -141,47 +145,45 @@ def _saddle_core(Q, A, b, c):
     return x[:n], x[n:], saddle.path, 0
 
 
-def _dual_core(Q, A, b, c):
-    """(u, multipliers, path, iterations) by a dual (FETI) solve; Q must be
-    symmetric positive definite.
+def _substitution_core(Q, A, b, c):
+    """(u, multipliers, path, iterations) by eliminating one variable per row.
 
-    Q is factorized on its own, so the blocks of different subdomains never
-    fill into each other. The multipliers solve S lam = A Q^-1 b - c,
-    S = A Q^-1 A^T, by CG with the scaled lumped preconditioner
-    (A A^T)^-1 A Q A^T (A A^T)^-1 (Farhat & Roux, IJNME 32, 1991; Rixen &
-    Farhat, IJNME 44, 1999); then u = Q^-1 (b - A^T lam). Dependent rows make
-    A A^T singular, and those systems go to :func:`_saddle_core`. CG that has
-    not converged in ``DUAL_CG_MAX_ITERATIONS`` raises :class:`SolverError`.
+    A row's pivot is its largest coefficient: the target's +1, as the anchor
+    coefficients enter as -beta with beta <= 1. When no other row touches a
+    pivot column, the pivots are slaves and the other columns masters, and
+    u = Z w + z0 meets A u = c for every w (multipoint constraints: Abel &
+    Shephard, IJNME 14, 1979). Then w solves Z^T Q Z w = Z^T (b - Q z0) by
+    Jacobi-preconditioned CG, and the multiplier of a row is (b - Q u) at its
+    pivot over the pivot coefficient. Rows that share a pivot column
+    (all_vertices rows, a target coupled to several subdomains) go to
+    :func:`_saddle_core`. CG that has not converged in ``CG_MAX_ITERATIONS``
+    raises :class:`SolverError`.
     """
-    m = A.shape[0]
-    if m:
-        try:
-            aat = spla.splu(sp.csc_matrix(A @ A.T))
-        except RuntimeError:  # exactly singular: dependent rows
-            return _saddle_core(Q, A, b, c)
-    # Symmetric mode with a fill-reducing order on Q + Q^T keeps the
-    # subdomain blocks apart; an SPD matrix needs no pivoting.
-    lu = spla.splu(sp.csc_matrix(Q), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-                   options={"SymmetricMode": True})
-    y = lu.solve(b)
-    if not m:
-        return y, np.zeros(0), "dual_cg", 0
-    At = sp.csr_matrix(A.T)
-    S = spla.LinearOperator((m, m), matvec=lambda v: A @ lu.solve(At @ v), dtype=float)
-    P = spla.LinearOperator(
-        (m, m), matvec=lambda v: aat.solve(A @ (Q @ (At @ aat.solve(v)))), dtype=float
-    )
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    lam, info = spla.cg(S, A @ y - c, rtol=DUAL_CG_RTOL, maxiter=DUAL_CG_MAX_ITERATIONS,
-                        M=P, callback=count)
+    R = A.copy()
+    R.eliminate_zeros()
+    m, n = R.shape
+    lengths = np.diff(R.indptr)
+    if not lengths.all():
+        return _saddle_core(Q, A, b, c)
+    # Sorting by row, then by descending value, keeps each row's CSR block in place.
+    pivot = np.lexsort((-R.data, np.repeat(np.arange(m), lengths)))[R.indptr[:-1]]
+    slave = R.indices[pivot]
+    if (np.bincount(R.indices, minlength=n)[slave] > 1).any():
+        return _saddle_core(Q, A, b, c)
+    master = np.ones(n, dtype=bool)
+    master[slave] = False
+    # E puts row r, divided by its pivot coefficient, in the row of its slave.
+    E = sp.csr_matrix((1.0 / R.data[pivot], (slave, np.arange(m))), shape=(n, m))
+    Z = (sp.eye(n, format="csr") - E @ R)[:, master]
+    z0 = E @ c
+    K = Z.T @ Q @ Z
+    steps = []
+    w, info = spla.cg(K, Z.T @ (b - Q @ z0), rtol=CG_RTOL, maxiter=CG_MAX_ITERATIONS,
+                      M=sp.diags(1.0 / K.diagonal()), callback=steps.append)
     if info:
-        raise SolverError("dual_cg did not converge in %d iterations" % iterations)
-    return lu.solve(b - At @ lam), lam, "dual_cg", iterations
+        raise SolverError("substitution_cg did not converge in %d iterations" % len(steps))
+    u = Z @ w + z0
+    return u, E.T @ (b - Q @ u), "substitution_cg", len(steps)
 
 
 def _as_fixed_arrays(fixed, N):
@@ -290,43 +292,15 @@ def _dirichlet_fixed(domain):
     return list(zip((domain.offsets[sub] + vert).tolist(), val.tolist()))
 
 
-def _every_component_pinned(domain):
-    """True when every connected component of every subdomain mesh, taken
-    from its simplices, holds a Dirichlet vertex."""
-    from scipy.sparse.csgraph import connected_components
-
-    for s, mesh in enumerate(domain.subdomains):
-        n, d = mesh.num_vertices, mesh.dim
-        # Each simplex joins its first vertex to the others.
-        ends = (np.repeat(mesh.simplices[:, 0], d), mesh.simplices[:, 1:].ravel())
-        graph = sp.csr_matrix((np.ones(len(ends[0])), ends), shape=(n, n))
-        count, labels = connected_components(graph, directed=False)
-        pinned = labels[[v for t, v, _ in domain.dirichlet if t == s]]
-        if len(np.unique(pinned)) < count:
-            return False
-    return True
-
-
 def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     """Minimize the form L, or M + alpha L, against load M rhs, coupled by
-    ``mode``, with the domain's Dirichlet values.
-
-    The path is chosen from the form before anything is factorized. M + alpha
-    L is positive definite, and so is L when every component of every
-    subdomain mesh is pinned: those go to :func:`_dual_core`. A floating
-    subdomain leaves L singular on its constants, so it goes to the saddle
-    core, where the coupling rows make the system nonsingular.
+    ``mode``, with the domain's Dirichlet values, by :func:`_substitution_core`.
     """
     L, M, offsets = assemble_global(domain, quad)
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
-    if alpha is None:
-        Q, definite = L, _every_component_pinned(domain)
-    else:
-        Q, definite = M + alpha * L, True
-    report = _constrained_solve(
-        Q, M @ f, Amat, None, _dirichlet_fixed(domain), _dual_core if definite else _saddle_core
-    )
+    Q = L if alpha is None else M + alpha * L
+    report = _constrained_solve(Q, M @ f, Amat, None, _dirichlet_fixed(domain), _substitution_core)
     report.offsets = offsets
     report.constraints = cs
     return report

@@ -467,18 +467,18 @@ class TestCli:
         assert main(["solve", str(cfg)]) == 2
 
     def test_unconverged_dual_cg_exit_code(self, tmp_path, capsys, monkeypatch):
-        # One pin per annulus: the dual path, which needs two CG iterations here.
-        (tmp_path / "a.dmesh").write_text(save_mesh(generate_annulus(1.0, 1.6, 2, 9)))
-        (tmp_path / "b.dmesh").write_text(save_mesh(generate_annulus(1.4, 2.0, 2, 9, 0.1)))
+        # One pin per annulus, boundary-only rows: the substitution path.
+        (tmp_path / "a.dmesh").write_text(save_mesh(generate_annulus(1.0, 1.6, 6, 9)))
+        (tmp_path / "b.dmesh").write_text(save_mesh(generate_annulus(1.4, 2.0, 6, 9, 0.1)))
         cfg = tmp_path / "exp.cfg"
         cfg.write_text(
             "scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n"
-            "dirichlet = 0:0:0.0,1:18:0.0\n"
+            "dirichlet = 0:0:0.0,1:54:0.0\n"
         )
         assert main(["solve", str(cfg)]) == 0
-        monkeypatch.setattr(solver, "DUAL_CG_MAX_ITERATIONS", 1)
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
         assert main(["solve", str(cfg)]) == 2
-        assert "dual_cg did not converge in 1 iterations" in capsys.readouterr().err
+        assert "substitution_cg did not converge in 1 iterations" in capsys.readouterr().err
 
     def test_too_many_modes_exit_code(self, tmp_path, capsys):
         # 12 vertices and 2 boundary-only rows leave 10 degrees of freedom.

@@ -3,6 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from overlapfem import (
     DeconstructedDomain,
@@ -26,6 +28,7 @@ from overlapfem import (
 )
 from overlapfem import harness, solver
 from overlapfem.solver import coupling_for_mode
+from test_geometry import MESHES
 
 QUAD = QuadratureSpec.corner_average()
 DATA = Path(__file__).parent / "data"
@@ -87,6 +90,55 @@ class TestSolveKkt:
         A = sp.csr_matrix(np.array([[1.0, 0.0]]))
         with pytest.raises(SolverError):
             solve_kkt(Q, None, A, np.array([3.0]), fixed=[(0, 1.0)])
+
+
+def distinct_rows_loop(A):
+    """Reference for solver._distinct_rows: one bytes key per row."""
+    A = sp.csr_matrix(A, copy=True)
+    A.eliminate_zeros()
+    A.sort_indices()
+    seen = set()
+    keep = []
+    for r in range(A.shape[0]):
+        lo, hi = A.indptr[r], A.indptr[r + 1]
+        vals = A.data[lo:hi]
+        if vals.size and vals[0] < 0:
+            vals = -vals
+        key = (A.indices[lo:hi].tobytes(), vals.tobytes())
+        if key not in seen:
+            seen.add(key)
+            keep.append(r)
+    return np.array(keep, dtype=np.int64)
+
+
+class TestDistinctRows:
+    @settings(max_examples=200)
+    @given(seed=st.integers(0, 2**32 - 1), m=st.integers(0, 40), n=st.integers(1, 8))
+    def test_matches_loop_property(self, seed, m, n):
+        # Each row is new, a copy or a negated copy of an earlier row, in
+        # shuffled column order and with explicit zeros stored in free columns.
+        rng = np.random.default_rng(seed)
+        rows = []
+        for _ in range(m):
+            kind = rng.integers(4) if rows else 0
+            if kind < 2:
+                cols = rng.choice(n, rng.integers(0, n + 1), replace=False)
+                vals = rng.choice([-1.0, -0.5, 0.25, 1.0, 1.0 / 3.0], len(cols))
+                row = dict(zip(cols.tolist(), vals.tolist()))
+            else:
+                row = dict(rows[rng.integers(len(rows))])
+                if kind == 3:
+                    row = {j: -v for j, v in row.items()}
+            for j in set(range(n)) - set(row):
+                if rng.random() < 0.2:
+                    row[j] = 0.0
+            rows.append(row)
+        indptr = np.cumsum([0] + [len(row) for row in rows])
+        order = [rng.permutation(list(row)) for row in rows]
+        indices = np.concatenate([[]] + order).astype(np.int32)
+        data = np.concatenate([[]] + [[row[j] for j in o] for row, o in zip(rows, order)])
+        A = sp.csr_matrix((data, indices, indptr), shape=(m, n))
+        np.testing.assert_array_equal(solver._distinct_rows(A), distinct_rows_loop(A))
 
 
 class TestPoisson:
@@ -292,6 +344,14 @@ def assert_close(u, reference):
     assert np.abs(u - reference).max() <= 1e-9 * np.abs(reference).max()
 
 
+def assert_path(report, mode):
+    """all_vertices targets are anchor vertices of other rows: the saddle LU runs."""
+    if mode == "all_vertices":
+        assert report.path.startswith("saddle_lu") and report.iterations == 0
+    else:
+        assert report.path == "substitution_cg" and report.iterations > 0
+
+
 class TestSolvePaths:
     @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
     def test_pinned_poisson_takes_dual_cg(self, name):
@@ -300,7 +360,7 @@ class TestSolvePaths:
         rhs = np.ones(domain.total_vertices)
         rep = solve_poisson(domain, QUAD, mode, rhs=1.0)
         ref = saddle_reference(domain, mode, lambda L, M: L, rhs)
-        assert rep.path == "dual_cg" and rep.iterations > 0
+        assert_path(rep, mode)
         assert ref.path == "saddle_lu" and ref.iterations == 0
         assert_close(rep.u, ref.u)
         assert rep.constraint_residual <= 1e-9
@@ -313,15 +373,17 @@ class TestSolvePaths:
         u0 = np.sin(np.arange(domain.total_vertices))
         rep = implicit_step(domain, QUAD, mode, 0.01, u0)
         ref = saddle_reference(domain, mode, lambda L, M: M + 0.01 * L, u0)
-        assert rep.path == "dual_cg" and rep.iterations > 0
+        assert_path(rep, mode)
         assert_close(rep.u, ref.u)
 
     def test_no_rows_skip_cg(self):
         rep = solve_poisson(pinned_segments(), QUAD, "none")
-        assert rep.path == "dual_cg" and rep.iterations == 0
+        assert rep.path == "substitution_cg" and rep.iterations > 0
 
     def test_floating_subdomain_takes_saddle_lu(self):
-        # The middle segment holds no Dirichlet vertex: L is singular on it.
+        # The middle segment holds no Dirichlet vertex. The right end of the
+        # first segment and the left end of the last are each the target of
+        # two rows, so those rows have no pivot of their own.
         n = 31
         meshes = [generate_segment(lo, lo + 0.6, n) for lo in (0.0, 0.2, 0.4)]
         domain = DeconstructedDomain(meshes, [(0, 0, 0.0), (2, n - 1, 0.0)])
@@ -330,9 +392,59 @@ class TestSolvePaths:
         s = domain.stacked_vertices()[:, 0]
         assert np.abs(rep.u - s * (1 - s) / 2).max() < 1e-3
 
+    def test_floating_subdomain_with_pivots_substitutes(self):
+        # The second segment holds no Dirichlet vertex; the row that targets
+        # its left end fixes its constant. -u'' = 1, u(0) = 0, u'(1) = 0.
+        n = 61
+        meshes = [generate_segment(0.0, 0.7, n), generate_segment(0.3, 1.0, n)]
+        domain = DeconstructedDomain(meshes, [(0, 0, 0.0)])
+        rep = solve_poisson(domain, QUAD, "boundary_only")
+        ref = saddle_reference(domain, "boundary_only", lambda L, M: L,
+                               np.ones(domain.total_vertices))
+        assert rep.path == "substitution_cg" and rep.iterations > 0
+        assert_close(rep.u, ref.u)
+        np.testing.assert_allclose(rep.multipliers, ref.multipliers, rtol=1e-9, atol=1e-12)
+        s = domain.stacked_vertices()[:, 0]
+        assert np.abs(rep.u - s * (1 - s / 2)).max() < 1e-3
+
+    @settings(max_examples=40)
+    @given(
+        mesh=MESHES,
+        moves=st.lists(
+            st.tuples(st.floats(0.05, 0.5), st.floats(0.7, 1.3)), min_size=1, max_size=2,
+            unique=True,
+        ),
+        mode=st.sampled_from(["boundary_only", "boundary_only_thinned"]),
+        alpha=st.sampled_from([None, 1e-3, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_saddle_lu_property(self, mesh, moves, mode, alpha, seed):
+        # The drawn mesh and one or two copies, each scaled about its low
+        # corner and moved along its bounding-box diagonal; every mesh has
+        # its lowest-index boundary vertex pinned.
+        lo, hi = mesh.bbox()
+        copies = [
+            SimplicialMesh(mesh.dim, lo + scale * (mesh.vertices - lo) + shift * (hi - lo),
+                           mesh.simplices)
+            for shift, scale in moves
+        ]
+        rng = np.random.default_rng(seed)
+        pin = min(boundary_vertices(mesh))
+        domain = DeconstructedDomain(
+            [mesh, *copies], [(k, pin, rng.uniform(-1.0, 1.0)) for k in range(len(moves) + 1)]
+        )
+        rhs = rng.uniform(-1.0, 1.0, domain.total_vertices)
+        if alpha is None:
+            rep = solve_poisson(domain, QUAD, mode, rhs)
+            ref = saddle_reference(domain, mode, lambda L, M: L, rhs)
+        else:
+            rep = implicit_step(domain, QUAD, mode, alpha, rhs)
+            ref = saddle_reference(domain, mode, lambda L, M: M + alpha * L, rhs)
+        assert_close(rep.u, ref.u)
+
     def test_coincident_copies_take_saddle_lu(self):
         # Under all_vertices the rows u_a - u_b, u_a - u_c, u_b - u_c at each
-        # interior vertex are distinct but dependent, so A A^T is singular.
+        # interior vertex are distinct but dependent, and share their columns.
         n = 11
         domain = DeconstructedDomain(
             [generate_segment(0.0, 1.0, n) for _ in range(3)],
@@ -361,6 +473,6 @@ class TestSolvePaths:
         assert paths == ["saddle_lu", "saddle_lu"]
 
     def test_unconverged_dual_cg_raises(self, monkeypatch):
-        monkeypatch.setattr(solver, "DUAL_CG_MAX_ITERATIONS", 1)
-        with pytest.raises(SolverError, match="dual_cg did not converge in 1 iterations"):
-            solve_poisson(pinned_annuli(), QUAD, "all_vertices")
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        with pytest.raises(SolverError, match="substitution_cg did not converge in 1 iterations"):
+            solve_poisson(pinned_boxes(), QUAD, "boundary_only")
