@@ -14,7 +14,7 @@ from .mesh import (
     simplex_measure,
     submesh,
 )
-from .geometry import PointLocator, barycentric_coordinates, build_trees, coverage_count, locate_point
+from .geometry import PointLocator, barycentric_coordinates, build_trees, locate_point
 from .fem import (
     QuadratureSpec,
     adjusted_volumes,

@@ -31,7 +31,10 @@ def _emit(config, text, suffix=None):
         path = Path(config.output)
         if suffix is not None:
             path = path.with_name(path.name + suffix)
-        path.write_text(text)
+        try:
+            path.write_text(text)
+        except OSError as exc:
+            raise ConfigError("cannot write output %s: %s" % (path, exc)) from None
 
 
 def _cmd_converge(config):

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
-from .geometry import batch_coordinates, locate_points
+from .geometry import locate_points, simplex_coordinates
 
 __all__ = [
     "ConstraintSet",
@@ -69,10 +69,9 @@ def _pair_constraints(domain, targets_per_subdomain, mode):
         for b in range(K):
             if b == a or verts.size == 0:
                 continue
-            tree_b = domain.locators[b]
-            simplex = locate_points(tree_b, pts)
+            simplex = locate_points(domain.locators[b], pts)
             hit = simplex >= 0
-            coords = batch_coordinates(tree_b, pts[hit], simplex[hit])
+            coords = simplex_coordinates(domain.subdomains[b], pts[hit], simplex[hit])
             coords = np.round(coords / _COEFF_GRID) * _COEFF_GRID
             coords[:, 0] = 1.0 - coords[:, 1:].sum(axis=1)
             v, t = verts[hit], simplex[hit]

@@ -4,6 +4,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# simplex_coordinates is left out: it is timed as part of locate_points.
 __all__ = [
     "GeometryError",
     "PointLocation",
@@ -11,12 +12,8 @@ __all__ = [
     "barycentric_coordinates",
     "locate_point",
     "locate_points",
-    "batch_coordinates",
     "brute_force_locate",
-    "coverage_count",
-    "coverage_counts",
     "other_coverage_counts",
-    "containment_tolerance",
     "build_trees",
 ]
 
@@ -42,7 +39,8 @@ class PointLocation:
 
 
 def barycentric_coordinates(simplex_vertices, p):
-    """Barycentric coordinates of ``p`` with respect to d+1 simplex corners.
+    """Barycentric coordinates of ``p`` in d+1 simplex corners by one LAPACK
+    solve; a reference for :func:`simplex_coordinates`, which location uses.
 
     Coordinates always sum to one; they are negative for exterior points.
     """
@@ -57,9 +55,13 @@ def barycentric_coordinates(simplex_vertices, p):
         raise GeometryError("degenerate simplex in barycentric_coordinates") from None
 
 
-def containment_tolerance(mesh):
-    """Barycentric slack used by :func:`locate_point`; the same for every mesh."""
-    return CONTAINMENT_TOL
+def simplex_coordinates(mesh, points, simplices):
+    """Barycentric coordinates of each point in its paired simplex, from the
+    cached ``edge_inverses``: the one containment formula (every coordinate
+    >= -CONTAINMENT_TOL), shared by location, coupling and the oracle."""
+    first = mesh.vertices[mesh.simplices[simplices, 0]]
+    xi = np.einsum("mij,mj->mi", mesh.edge_inverses[simplices], points - first)
+    return np.column_stack([1.0 - xi.sum(axis=1), xi])
 
 
 class PointLocator:
@@ -77,17 +79,16 @@ class PointLocator:
     are at most 2^d t cells. Each cell lists, ascending, the simplices whose
     padded box overlaps it. Boxes and points get cells by the same monotone
     rounding, so the candidates of a point (the simplices of its cell whose
-    padded box holds it) include every simplex the check with ``tol`` accepts.
+    padded box holds it) include every simplex the containment check accepts.
     """
 
     def __init__(self, mesh):
         self.mesh = mesh
-        self.tol = containment_tolerance(mesh)
         d, t = mesh.dim, mesh.num_simplices
         corners = mesh.vertices[mesh.simplices]
         lo, hi = corners.min(axis=1), corners.max(axis=1)
         slack = np.sqrt(np.finfo(float).eps) * (hi - lo + np.maximum(np.abs(lo), np.abs(hi)))
-        pad = (d + 1) * self.tol * (hi - lo) + slack
+        pad = (d + 1) * CONTAINMENT_TOL * (hi - lo) + slack
         lo, hi = lo - pad, hi + pad
         # Axis-major, so that candidates filter one axis at a time.
         self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
@@ -143,38 +144,22 @@ class PointLocator:
             pi, si = pi[keep], si[keep]
         return pi, si
 
-    def coordinates(self, points, simplices):
-        """Barycentric coordinates of each point in its paired simplex."""
-        first = self.mesh.vertices[self.mesh.simplices[simplices, 0]]
-        xi = np.einsum("mij,mj->mi", self.mesh.edge_inverses[simplices], points - first)
-        return np.column_stack([1.0 - xi.sum(axis=1), xi])
-
-
-def _best_containing(mesh, candidate_ids, p, tol):
-    for t in sorted(candidate_ids):
-        coords = barycentric_coordinates(mesh.vertices[mesh.simplices[t]], p)
-        if coords.min() >= -tol:
-            return PointLocation(int(t), coords)
-    return None
-
 
 def locate_point(tree, p):
-    """Find a simplex of ``tree.mesh`` containing ``p`` (closed containment,
-    lowest index wins).
+    """:func:`locate_points` on one point, plus its coordinates in the simplex.
 
-    Returns None when no simplex contains the point within ``tree.tol``.
+    Returns None when no simplex of ``tree.mesh`` contains the point.
     """
-    p = np.asarray(p, dtype=float)
-    _, si = tree.candidates(p[None, :])
-    return _best_containing(tree.mesh, si, p, tree.tol)
+    p = np.asarray(p, dtype=float)[None, :]
+    simplex = int(locate_points(tree, p)[0])
+    if simplex < 0:
+        return None
+    return PointLocation(simplex, simplex_coordinates(tree.mesh, p, [simplex])[0])
 
 
 def locate_points(tree, points):
-    """Vectorized :func:`locate_point` over many points.
-
-    Returns an int array of containing simplex indices (-1 where none), with
-    the same lowest-index tie-break as the scalar version.
-    """
+    """Index of a simplex of ``tree.mesh`` containing each point (closed
+    containment, lowest index wins; -1 where none)."""
     points = np.asarray(points, dtype=float)
     sentinel = np.iinfo(np.int64).max
     found = np.full(len(points), sentinel, dtype=np.int64)
@@ -184,33 +169,22 @@ def locate_points(tree, points):
         pi, si = tree.candidates(points[start:stop])
         pi += start
         ok = np.ones(len(pi), dtype=bool)
-        for column in tree.coordinates(points[pi], si).T:  # faster than a row-wise min
-            ok &= column >= -tree.tol
+        coords = simplex_coordinates(tree.mesh, points[pi], si)
+        for column in coords.T:  # faster than a row-wise min
+            ok &= column >= -CONTAINMENT_TOL
         np.minimum.at(found, pi[ok], si[ok])
     found[found == sentinel] = -1
     return found
 
 
-def batch_coordinates(tree, points, simplices):
-    """Barycentric coordinates of each point in its paired simplex."""
-    return tree.coordinates(np.asarray(points, dtype=float), np.asarray(simplices, dtype=np.int64))
-
-
-def brute_force_locate(mesh, p, tol=None):
-    """Reference implementation of :func:`locate_point` scanning all simplices."""
-    if tol is None:
-        tol = containment_tolerance(mesh)
-    return _best_containing(mesh, range(mesh.num_simplices), p, tol)
-
-
-def coverage_count(domain, p):
-    """Number of subdomains whose mesh contains ``p`` (closed containment)."""
-    return sum(locate_point(tree, p) is not None for tree in domain.locators)
-
-
-def coverage_counts(domain, points):
-    """Vector of coverage counts for many points."""
-    return other_coverage_counts(domain, None, points)
+def brute_force_locate(mesh, p):
+    """Reference for :func:`locate_point`: no grid, the containment check on
+    every simplex, and the first simplex in index order that passes."""
+    coords = simplex_coordinates(mesh, np.asarray(p, dtype=float), np.arange(mesh.num_simplices))
+    inside = np.flatnonzero((coords >= -CONTAINMENT_TOL).all(axis=1))
+    if inside.size == 0:
+        return None
+    return PointLocation(int(inside[0]), coords[inside[0]])
 
 
 def other_coverage_counts(domain, k, points):

@@ -229,7 +229,7 @@ def load_config(path):
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError("cannot read config %s: %s" % (path, exc)) from None
     return parse_config(text, base_dir=path.parent)
 
@@ -325,7 +325,7 @@ def _custom(config, resolution, f):
     for path in config.mesh_files:
         try:
             meshes.append(load_mesh(Path(path).read_text()))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError("cannot read mesh %s: %s" % (path, exc)) from None
         except MeshError as exc:
             raise ConfigError("bad mesh %s: %s" % (path, exc)) from None

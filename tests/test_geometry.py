@@ -13,7 +13,6 @@ from overlapfem import (
     PointLocator,
     SimplicialMesh,
     barycentric_coordinates,
-    coverage_count,
     generate_annulus,
     generate_disk,
     generate_segment,
@@ -21,12 +20,12 @@ from overlapfem import (
     locate_point,
 )
 from overlapfem.geometry import (
+    CONTAINMENT_TOL,
     GeometryError,
-    batch_coordinates,
     brute_force_locate,
-    containment_tolerance,
-    coverage_counts,
     locate_points,
+    other_coverage_counts,
+    simplex_coordinates,
 )
 from overlapfem.mesh import boundary_facets
 
@@ -108,7 +107,7 @@ class TestPointLocation:
         pts = random_points(mesh, 2000, 3)
         found = locate_points(tree, pts)
         hit = found >= 0
-        coords = batch_coordinates(tree, pts[hit], found[hit])
+        coords = simplex_coordinates(mesh, pts[hit], found[hit])
         for p, t, c in list(zip(pts[hit], found[hit], coords))[::29]:
             expected = barycentric_coordinates(mesh.vertices[mesh.simplices[t]], p)
             np.testing.assert_allclose(c, expected, atol=1e-10)
@@ -134,11 +133,27 @@ def facet_midpoints(mesh):
     return np.concatenate([mesh.vertices[f].mean(axis=1) for f in faces])
 
 
+def near_tolerance_points(mesh, rng):
+    """Vertices and facet midpoints, each moved by +-0.5, 1 or 2 x CONTAINMENT_TOL
+    x the local element extent in a random direction: points whose smallest
+    coordinate sits near -CONTAINMENT_TOL in some simplex."""
+    d1 = mesh.dim + 1
+    extent = np.ptp(mesh.vertices[mesh.simplices], axis=1).max(axis=1)
+    vertex_extent = np.zeros(mesh.num_vertices)
+    np.maximum.at(vertex_extent, mesh.simplices.ravel(), np.repeat(extent, d1))
+    base = np.concatenate([mesh.vertices, facet_midpoints(mesh)])
+    size = np.concatenate([vertex_extent, np.tile(extent, d1)])
+    size *= rng.choice([-2.0, -1.0, -0.5, 0.5, 1.0, 2.0], size=len(base)) * CONTAINMENT_TOL
+    direction = rng.normal(size=base.shape)
+    direction /= np.linalg.norm(direction, axis=1, keepdims=True)
+    return base + size[:, None] * direction
+
+
 class TestContainmentTolerance:
     def test_slightly_outside_point_is_kept(self):
         mesh = generate_segment(0.0, 1.0, 5)
         tree = PointLocator(mesh)
-        tol = containment_tolerance(mesh)
+        tol = CONTAINMENT_TOL
         # the tolerance acts on barycentric coordinates: physical slack on the
         # first element (length 1/4) is tol / 4
         assert locate_point(tree, np.array([-tol / 8])) is not None
@@ -148,14 +163,14 @@ class TestContainmentTolerance:
     # farther than the same number in physical units.
     def test_long_segment_matches_brute_force(self):
         mesh = generate_segment(0.0, 100.0, 3)
-        tol = containment_tolerance(mesh)
+        tol = CONTAINMENT_TOL
         assert brute_force_locate(mesh, np.array([-tol * 25])) is not None
         assert_matches_oracle(mesh, np.array([[-tol * 25]]))
 
     def test_large_disk_facet_midpoints_match_brute_force(self):
         mesh = generate_disk(50.0, 2, 7)
         mid = mesh.vertices[np.array(sorted(boundary_facets(mesh)))].mean(axis=1)
-        outside = mid * (1.0 + 10.0 * containment_tolerance(mesh) / 50.0)
+        outside = mid * (1.0 + 10.0 * CONTAINMENT_TOL / 50.0)
         assert_matches_oracle(mesh, outside)
 
     @pytest.mark.parametrize("scale", [1e-9, 1e-7, 1e-5, 1e-3, 1.0, 1e3, 1e5])
@@ -166,6 +181,20 @@ class TestContainmentTolerance:
         mesh = SimplicialMesh(3, scale * box.vertices @ q.T, box.simplices)
         assert (locate_points(PointLocator(mesh), mesh.vertices) >= 0).all()
         assert_matches_oracle(mesh, mesh.vertices)
+
+    def test_point_on_the_tolerance_matches_oracle(self):
+        # Simplex 2's smallest coordinate here is -1.00000175e-10 by the inverse
+        # edge matrices and -9.99999466e-11 by a LAPACK solve, so a locator and
+        # an oracle that used one formula each disagreed (3 against 2).
+        box = load_mesh((DATA / "box_a.dmesh").read_text())
+        q = np.array([[-0.7023211144349404, -0.6432670082532531, 0.3048813020041938],
+                      [0.5769562233825771, -0.7652459251982606, -0.28551740799392944],
+                      [0.416973102872328, -0.02462173958856949, 0.9085852747104454]])
+        shift = np.array([32.83013155758621, -20.70278969281809, 41.325321550435476])
+        mesh = SimplicialMesh(3, 26.488599249685254 * box.vertices @ q.T + shift, box.simplices)
+        p = np.array([[25.395780241143036, -26.172919575848997, 46.95995386075345]])
+        assert locate_points(PointLocator(mesh), p)[0] == 3
+        assert_matches_oracle(mesh, p)
 
 
 MESHES = st.one_of(
@@ -195,7 +224,8 @@ MESHES = st.one_of(
 def test_locator_matches_brute_force_property(mesh, seed):
     # Vertices and facet midpoints lie in several closed simplices, so they
     # exercise the lowest-index tie-break.
-    pts = np.concatenate([random_points(mesh, 40, seed), mesh.vertices, facet_midpoints(mesh)])
+    pts = np.concatenate([random_points(mesh, 40, seed), mesh.vertices, facet_midpoints(mesh),
+                          near_tolerance_points(mesh, np.random.default_rng(seed))])
     assert_matches_oracle(mesh, pts)
 
 
@@ -204,17 +234,21 @@ class TestCoverage:
         mesh = generate_disk(1.0, 3, 10)
         dom = DeconstructedDomain([mesh, generate_disk(1.0, 3, 10)])
         inner = 0.5 * mesh.vertices[mesh.simplices].mean(axis=1)
-        counts = coverage_counts(dom, inner)
+        counts = other_coverage_counts(dom, None, inner)
         assert (counts == 2).all()
 
     def test_vector_matches_scalar(self):
-        a = generate_segment(0.0, 0.7, 9)
-        b = generate_segment(0.3, 1.0, 8)
-        dom = DeconstructedDomain([a, b])
-        pts = np.linspace(-0.1, 1.1, 101)[:, None]
-        counts = coverage_counts(dom, pts)
-        for p, c in zip(pts, counts):
-            assert coverage_count(dom, p) == c
+        # The reference counts the meshes in which the oracle finds each point.
+        segments = [generate_segment(0.0, 0.7, 9), generate_segment(0.3, 1.0, 8)]
+        annuli = [generate_annulus(1.0, 1.6, 2, 12), generate_annulus(1.4, 2.0, 2, 12, 0.1)]
+        annulus_pts = np.concatenate([random_points(annuli[0], 150, 2),
+                                      random_points(annuli[1], 150, 3),
+                                      annuli[0].vertices, annuli[1].vertices])
+        for meshes, pts in ((segments, np.linspace(-0.1, 1.1, 101)[:, None]),
+                            (annuli, annulus_pts)):
+            counts = other_coverage_counts(DeconstructedDomain(meshes), None, pts)
+            expected = [sum(brute_force_locate(m, p) is not None for m in meshes) for p in pts]
+            np.testing.assert_array_equal(counts, expected)
 
 
 class TestGridLocator:
@@ -245,7 +279,8 @@ class TestGridLocator:
                               box.simplices)
         lo, hi = mesh.bbox()
         around = lo + (hi - lo) * rng.uniform(-0.2, 1.2, size=(40, 3))
-        assert_matches_oracle(mesh, np.concatenate([around, mesh.vertices, facet_midpoints(mesh)]))
+        assert_matches_oracle(mesh, np.concatenate([around, mesh.vertices, facet_midpoints(mesh),
+                                                    near_tolerance_points(mesh, rng)]))
 
     def test_solves_do_not_import_scipy_spatial(self):
         script = (

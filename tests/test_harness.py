@@ -447,6 +447,30 @@ class TestCli:
         assert main(["converge", str(cfg)]) == 1
         assert main(["converge", str(tmp_path / "absent.cfg")]) == 1
 
+    def test_non_utf8_config_is_config_error(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_bytes(b"scenario = seg1d_poisson\n# \xff\xfe\n")
+        assert main(["converge", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read config") and str(cfg) in err
+
+    def test_non_utf8_mesh_file_is_config_error(self, tmp_path, capsys):
+        (tmp_path / "a.dmesh").write_bytes(b"DIM 1\n\xff\n")
+        (tmp_path / "b.dmesh").write_text(save_mesh(generate_segment(0.0, 1.0, 3)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n")
+        assert main(["solve", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot read mesh") and "a.dmesh" in err
+
+    def test_output_in_missing_directory_is_config_error(self, tmp_path, capsys):
+        out = tmp_path / "absent" / "table.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\noutput = %s\n" % out)
+        assert main(["converge", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: cannot write output") and str(out) in err
+
     def test_non_finite_input_exit_code(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\nf = nan\n")
