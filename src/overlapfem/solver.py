@@ -39,6 +39,20 @@ CG_RTOL = 1e-12
 # depending on the data. The cap leaves room for meshes about seven times
 # finer than the finest of these.
 CG_MAX_ITERATIONS = 1000
+# Quasi-definite factorization: a minimum-degree order on the pattern of
+# K + K^T, applied to rows and columns alike, with diagonal pivots.
+_QUASI_DEFINITE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
+                   "options": {"SymmetricMode": True}}
+# Refinement of a quasi-definite solve stops at this residual relative to the
+# right-hand side, or after a step that does not halve the residual. Each step
+# shrinks the residual by about eps over eps plus the smallest eigenvalue of
+# A Q^-1 A^T. Steps taken: 2 on all_vertices annulus2d_poisson and
+# annulus2d_laplace at m = 1 to 8 (3 on annulus2d_poisson at m = 8), and 2 per
+# shift-invert application of modes on annulus2d_poisson; 2, 3, 4 and 12 on
+# all_vertices seg1d_poisson at 20, 40, 80 and 160 vertices per segment. At
+# 320 a step no longer halves the residual and the LU sequence takes over.
+QD_REFINE_RTOL = 1e-14
+QD_REFINE_STEPS = 20
 
 COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY, BOUNDARY_ONLY_THINNED)
 BILAPLACE_COUPLINGS = ("value_only", "low_order", "high_order")
@@ -62,8 +76,10 @@ class SolveReport:
     energy: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
-    path: str = None  # "saddle_lu", "saddle_lu_eps" or "substitution_cg"
-    iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle LU
+    # "saddle_qd" (Q's diagonal positive), "saddle_lu", "saddle_lu_eps" or "substitution_cg"
+    path: str = None
+    iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle factorizations
+    factor_nnz: int = 0  # stored entries of L and U behind the solution; 0 on substitution_cg
 
     def subdomain_values(self, i):
         return self.u[int(self.offsets[i]) : int(self.offsets[i + 1])]
@@ -94,59 +110,89 @@ def _distinct_rows(A):
 
 
 class _SaddleSolver:
-    """Solver for the saddle matrix [Q A^T; A 0]; the rows of A are distinct
+    """Solver for the saddle matrix K = [Q A^T; A 0]; the rows of A are distinct
     (:func:`_distinct_rows`).
 
-    ``solve(rhs)`` solves the saddle system with one refinement step against
-    the exact matrix. If the factorization made at the first solve, or that
-    solve's residual check, fails (dependent rows remain), a factorization
-    with a tiny -eps I multiplier block takes over and ``path`` becomes
-    ``saddle_lu_eps``; it is nonsingular when Q is definite on null(A)
-    (Benzi, Golub & Liesen, Acta Numerica 14, 2005, section 3). A residual
-    that stays large raises :class:`SolverError`.
+    When every diagonal entry of Q is positive, the factor is of the
+    quasi-definite K_eps = [Q A^T; A -eps I], with diagonal pivots in a
+    symmetric minimum-degree order (``saddle_qd``). Such a matrix has a
+    stable symmetric factorization in every symmetric order when Q is
+    definite (Vanderbei, SIAM J. Optim. 5, 1995; Gill, Saunders & Shinnerl,
+    SIAM J. Matrix Anal. Appl. 17, 1996), and refinement against K removes
+    eps. Otherwise (a zero on Q's diagonal, as in both bi-Laplace solvers)
+    K is factorized with SuperLU's default column order and partial pivoting
+    (``saddle_lu``), and if that fails, or its residual check does
+    (dependent rows remain), K_eps in the same way (``saddle_lu_eps``). K_eps
+    is nonsingular when Q is definite on null(A) (Benzi, Golub & Liesen,
+    Acta Numerica 14, 2005, section 3). A quasi-definite factorization that
+    fails falls back to the same sequence. ``solve(rhs)`` refines against K
+    and raises :class:`SolverError` when the residual stays large.
     """
 
     def __init__(self, Q, A):
         self.K = sp.bmat([[Q, A.T], [A, None]], format="csc")
         self.m = A.shape[0]
-        eps = 1e-10 * (float(np.abs(Q.diagonal()).max(initial=0.0)) or 1.0)
-        self._shifts = [0.0, eps]
+        diagonal = Q.diagonal()
+        eps = 1e-10 * (float(np.abs(diagonal).max(initial=0.0)) or 1.0)
+        # (path, multiplier shift, splu options, refinement steps, refinement stop)
+        self._attempts = [("saddle_lu", 0.0, {}, 1, 0.0), ("saddle_lu_eps", eps, {}, 1, 0.0)]
+        if (diagonal > 0).all():
+            self._attempts.insert(0, ("saddle_qd", eps, _QUASI_DEFINITE, QD_REFINE_STEPS,
+                                      QD_REFINE_RTOL))
+        self.path = self._attempts[0][0]
+        self.factor_nnz = 0
         self._lu = None
-        self.path = "saddle_lu"
 
     def solve(self, rhs):
-        K = self.K
-        while self._shifts or self._lu is not None:
+        scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
+        while self._attempts or self._lu is not None:
             if self._lu is None:
-                shift = self._shifts.pop(0)
+                self.path, shift, options, self._steps, self._rtol = self._attempts.pop(0)
+                K = self.K
                 if shift:
-                    self.path = "saddle_lu_eps"
                     diag = np.r_[np.zeros(K.shape[0] - self.m), np.full(self.m, shift)]
                     K = K - sp.diags(diag, format="csc")
                 try:
-                    self._lu = spla.splu(K)
+                    self._lu = spla.splu(K, **options)
                 except RuntimeError:
                     continue
-            x = self._lu.solve(rhs)
-            x += self._lu.solve(rhs - self.K @ x)
-            scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
-            if np.isfinite(x).all() and np.abs(self.K @ x - rhs).max() <= 1e-7 * scale:
-                self._shifts.clear()
+                self.factor_nnz = self._lu.nnz
+            x, residual = self._refined(rhs, scale)
+            if np.isfinite(x).all() and residual <= 1e-7 * scale:
+                self._attempts.clear()
                 return x
             self._lu = None
-        raise SolverError("singular KKT system of order %d" % K.shape[0])
+        raise SolverError("singular KKT system of order %d" % self.K.shape[0])
+
+    def _refined(self, rhs, scale):
+        """(x, max residual) of the factor's solution refined against K: up to
+        ``_steps`` steps, ending early at a residual of ``_rtol * scale`` or
+        after a step that does not halve the residual."""
+        x = self._lu.solve(rhs)
+        r = rhs - self.K @ x
+        residual = np.abs(r).max(initial=0.0)
+        for _ in range(self._steps):
+            if residual <= self._rtol * scale:
+                break
+            x += self._lu.solve(r)
+            r = rhs - self.K @ x
+            residual, last = np.abs(r).max(initial=0.0), residual
+            if not residual <= 0.5 * last:
+                break
+        return x, residual
 
 
 def _saddle_core(Q, A, b, c):
-    """(u, multipliers, path, iterations) of the saddle system by :class:`_SaddleSolver`."""
+    """(u, multipliers, path, iterations, factor_nnz) of the saddle system by
+    :class:`_SaddleSolver`."""
     saddle = _SaddleSolver(Q, A)
     x = saddle.solve(np.concatenate([b, c]))
     n = Q.shape[0]
-    return x[:n], x[n:], saddle.path, 0
+    return x[:n], x[n:], saddle.path, 0, saddle.factor_nnz
 
 
 def _substitution_core(Q, A, b, c):
-    """(u, multipliers, path, iterations) by eliminating one variable per row.
+    """(u, multipliers, path, iterations, 0) by eliminating one variable per row.
 
     A row's pivot is its largest coefficient: the target's +1, as the anchor
     coefficients enter as -beta with beta <= 1. When no other row touches a
@@ -183,7 +229,7 @@ def _substitution_core(Q, A, b, c):
     if info:
         raise SolverError("substitution_cg did not converge in %d iterations" % len(steps))
     u = Z @ w + z0
-    return u, E.T @ (b - Q @ u), "substitution_cg", len(steps)
+    return u, E.T @ (b - Q @ u), "substitution_cg", len(steps), 0
 
 
 def _as_fixed_arrays(fixed, N):
@@ -203,7 +249,7 @@ def _constrained_solve(Q, b, A, c, fixed, core):
     an earlier row up to sign are dropped: they are counted in
     ``dropped_rows`` and get a zero multiplier. ``core(Qff, Af, bf, cf)``
     solves the reduced problem and returns (u, multipliers, path,
-    iterations). Inconsistent rows raise :class:`SolverError`.
+    iterations, factor_nnz). Inconsistent rows raise :class:`SolverError`.
     """
     Q = sp.csr_matrix(Q)
     N = Q.shape[0]
@@ -222,7 +268,7 @@ def _constrained_solve(Q, b, A, c, fixed, core):
     bf = b[free] - (Q[free][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
     Af = A[:, free]
     keep = _distinct_rows(Af)
-    u[free], lam_keep, path, iterations = core(Qff, Af[keep], bf, c_shift[keep])
+    u[free], lam_keep, path, iterations, factor_nnz = core(Qff, Af[keep], bf, c_shift[keep])
     lam = np.zeros(A.shape[0])
     lam[keep] = lam_keep
 
@@ -242,6 +288,7 @@ def _constrained_solve(Q, b, A, c, fixed, core):
         dropped_rows=A.shape[0] - len(keep),
         path=path,
         iterations=iterations,
+        factor_nnz=factor_nnz,
     )
 
 
@@ -405,6 +452,7 @@ def solve_bilaplace(
         constraints=cs,
         dropped_rows=dropped,
         path=inner.path,
+        factor_nnz=inner.factor_nnz,
     )
 
 
@@ -473,6 +521,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
         energy=float(y @ y - 2.0 * (u @ (M @ f))),
         constraints=cs,
         path=inner.path,
+        factor_nnz=inner.factor_nnz,
     )
 
 

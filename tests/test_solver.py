@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -72,7 +73,8 @@ class TestSolveKkt:
     def test_reciprocal_rows_factorize_once(self, monkeypatch):
         calls = []
         splu = solver.spla.splu
-        monkeypatch.setattr(solver.spla, "splu", lambda K: calls.append(K) or splu(K))
+        monkeypatch.setattr(solver.spla, "splu",
+                            lambda K, **kwargs: calls.append(K) or splu(K, **kwargs))
         A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         rep = solve_kkt(sp.diags([2.0, 2.0]), np.array([2.0, 4.0]), A)
         assert len(calls) == 1
@@ -334,7 +336,7 @@ DEFINITE_FIXTURES = {
 
 
 def saddle_reference(domain, mode, form, rhs):
-    """solve_kkt on the same form, load, rows and pins: the saddle LU answer."""
+    """solve_kkt on the same form, load, rows and pins: the saddle factorization's answer."""
     L, M, _ = assemble_global(domain, QUAD)
     _, A = coupling_for_mode(domain, mode)
     return solve_kkt(form(L, M), M @ rhs, A, fixed=solver._dirichlet_fixed(domain))
@@ -345,9 +347,10 @@ def assert_close(u, reference):
 
 
 def assert_path(report, mode):
-    """all_vertices targets are anchor vertices of other rows: the saddle LU runs."""
+    """all_vertices targets are anchor vertices of other rows: the saddle
+    factorization runs, quasi-definite as Q's diagonal is positive."""
     if mode == "all_vertices":
-        assert report.path.startswith("saddle_lu") and report.iterations == 0
+        assert report.path == "saddle_qd" and report.iterations == 0
     else:
         assert report.path == "substitution_cg" and report.iterations > 0
 
@@ -361,7 +364,7 @@ class TestSolvePaths:
         rep = solve_poisson(domain, QUAD, mode, rhs=1.0)
         ref = saddle_reference(domain, mode, lambda L, M: L, rhs)
         assert_path(rep, mode)
-        assert ref.path == "saddle_lu" and ref.iterations == 0
+        assert ref.path == "saddle_qd" and ref.iterations == 0
         assert_close(rep.u, ref.u)
         assert rep.constraint_residual <= 1e-9
         assert rep.stationarity_residual <= 1e-8
@@ -388,7 +391,7 @@ class TestSolvePaths:
         meshes = [generate_segment(lo, lo + 0.6, n) for lo in (0.0, 0.2, 0.4)]
         domain = DeconstructedDomain(meshes, [(0, 0, 0.0), (2, n - 1, 0.0)])
         rep = solve_poisson(domain, QUAD, "boundary_only")
-        assert rep.path.startswith("saddle_lu") and rep.iterations == 0
+        assert rep.path == "saddle_qd" and rep.iterations == 0
         s = domain.stacked_vertices()[:, 0]
         assert np.abs(rep.u - s * (1 - s) / 2).max() < 1e-3
 
@@ -451,7 +454,7 @@ class TestSolvePaths:
             [(k, v, 0.0) for k in range(3) for v in (0, n - 1)],
         )
         rep = solve_poisson(domain, QUAD, "all_vertices")
-        assert rep.path.startswith("saddle_lu")
+        assert rep.path == "saddle_qd"
         s = domain.stacked_vertices()[:, 0]
         np.testing.assert_allclose(rep.u, s * (1 - s) / 2, atol=1e-12)
 
@@ -470,9 +473,127 @@ class TestSolvePaths:
         monkeypatch.setattr(harness, "solve_kkt", recording)
         config = ExperimentConfig("seg1d_poisson", resolutions=(11, 21), penalty_weights=(1.0, 10.0))
         run_penalty_sweep(config)
-        assert paths == ["saddle_lu", "saddle_lu"]
+        assert paths == ["saddle_qd", "saddle_qd"]
 
     def test_unconverged_dual_cg_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
         with pytest.raises(SolverError, match="substitution_cg did not converge in 1 iterations"):
             solve_poisson(pinned_boxes(), QUAD, "boundary_only")
+
+
+def random_qp(seed, n, zero_block):
+    """(Q, b, A, c, fixed) of a random QP whose rows include repeats and
+    negations of earlier rows, with c = A u* for a point u* that meets the
+    fixed values.
+
+    Q is positive definite, and the new rows are sparse, some of them
+    combinations of two earlier rows, so that rows can be dependent. With
+    zero_block, Q is zero on its trailing k rows and columns (k at most
+    n / 6), which are never fixed, and the new rows are dense, at least 2k of
+    them and no more than the free values. The saddle matrix is then
+    nonsingular and well conditioned: SuperLU's partial-pivoting LU of an
+    exactly singular one can crash the process.
+    """
+    rng = np.random.default_rng(seed)
+    G = rng.uniform(-1.0, 1.0, (n, n))
+    Q = G @ G.T + np.eye(n)
+    k = int(rng.integers(1, max(1, n // 6) + 1)) if zero_block else 0
+    Q[n - k :] = 0.0
+    Q[:, n - k :] = 0.0
+    pinned = rng.choice(n - k, rng.integers(0, (n - k) // 2 + 1), replace=False)
+    if zero_block:
+        rows = list(rng.uniform(-1.0, 1.0, (max(2 * k, (n - len(pinned)) // 2), n)))
+    else:
+        # Small integers keep the combinations exactly dependent.
+        weights = [-2.0, -1.0, 1.0, 2.0]
+        new = []
+        for _ in range(rng.integers(1, n + 1)):
+            if new and rng.random() < 0.3:
+                new.append(rng.choice(weights, 2) @ np.array(new)[rng.integers(len(new), size=2)])
+            else:
+                new.append(np.zeros(n))
+                cols = rng.choice(n, rng.integers(1, min(n, 3) + 1), replace=False)
+                new[-1][cols] = rng.choice(weights, len(cols))
+        rows = new
+    copies = rng.integers(len(rows), size=rng.integers(0, len(rows) + 1))
+    rows += [rng.choice([-1.0, 1.0]) * rows[i] for i in copies]
+    A = np.vstack(rows)
+    u_star = rng.uniform(-1.0, 1.0, n)
+    fixed = [(int(i), float(u_star[i])) for i in pinned]
+    return sp.csr_matrix(Q), rng.uniform(-1.0, 1.0, n), sp.csr_matrix(A), A @ u_star, fixed
+
+
+def dense_kkt_u(Q, b, A, c, fixed):
+    """u of the KKT system with fixed values as extra rows, by np.linalg.lstsq."""
+    F = np.eye(Q.shape[0])[[i for i, _ in fixed]]
+    C = np.vstack([A.toarray(), F])
+    K = np.block([[Q.toarray(), C.T], [C, np.zeros((len(C), len(C)))]])
+    rhs = np.concatenate([b, c, [v for _, v in fixed]])
+    return np.linalg.lstsq(K, rhs, rcond=None)[0][: Q.shape[0]]
+
+
+def annulus_saddle(m):
+    """solve_poisson on annulus2d_poisson at multiplier m with all_vertices rows,
+    and the saddle matrix and right-hand side of its free values and distinct
+    rows, built here: (report, K, rhs, free, u with the fixed values set)."""
+    config = ExperimentConfig("annulus2d_poisson", coupling="all_vertices")
+    domain = build_scenario(config, m).domain
+    report = solve_poisson(domain, QUAD, "all_vertices")
+    L, M, _ = assemble_global(domain, QUAD)
+    _, A = coupling_for_mode(domain, "all_vertices")
+    pinned, values = (np.array(column) for column in zip(*solver._dirichlet_fixed(domain)))
+    pinned = pinned.astype(int)
+    free = np.ones(domain.total_vertices, dtype=bool)
+    free[pinned] = False
+    Af = A[:, free]
+    keep = solver._distinct_rows(Af)
+    K = sp.bmat([[L[free][:, free], Af[keep].T], [Af[keep], None]], format="csc")
+    b = M @ np.ones(domain.total_vertices) - L[:, pinned] @ values
+    rhs = np.concatenate([b[free], -(A[:, pinned] @ values)[keep]])
+    u = np.zeros(domain.total_vertices)
+    u[pinned] = values
+    return report, K, rhs, free, u
+
+
+class TestQuasiDefinite:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
+    @pytest.mark.parametrize("zero_block", [False, True])
+    def test_matches_dense_kkt_property(self, zero_block, seed, n):
+        # A zero on Q's diagonal keeps the partial-pivoting LU and its eps retry.
+        Q, b, A, c, fixed = random_qp(seed, n, zero_block)
+        rep = solve_kkt(Q, b, A, c, fixed=fixed)
+        if zero_block:
+            assert rep.path.startswith("saddle_lu")
+        else:
+            assert rep.path == "saddle_qd"
+        assert_close(rep.u, dense_kkt_u(Q, b, A, c, fixed))
+
+    def test_factor_fill_at_most_half_of_colamd(self):
+        # At m = 2: 282,958 stored entries against 605,556 (nnz(L) + nnz(U):
+        # 235,344 against 565,401).
+        rep, K, _, _, _ = annulus_saddle(2)
+        assert rep.path == "saddle_qd"
+        assert K.nnz <= rep.factor_nnz <= 0.5 * splu(K).nnz
+
+    def test_matches_colamd_lu(self):
+        rep, K, rhs, free, u = annulus_saddle(4)
+        lu = splu(K)
+        x = lu.solve(rhs)
+        x += lu.solve(rhs - K @ x)
+        u[free] = x[: free.sum()]
+        assert rep.path == "saddle_qd"
+        assert_close(rep.u, u)
+
+    def test_stalled_refinement_falls_back_to_lu(self):
+        # At 320 vertices per segment, eps is no longer small against the
+        # smallest eigenvalue of A Q^-1 A^T: a refinement step does not halve
+        # the residual, and the partial-pivoting LU takes over.
+        config = ExperimentConfig("seg1d_poisson", coupling="all_vertices")
+        domain = build_scenario(config, 320).domain
+        rep = solve_poisson(domain, QUAD, "all_vertices")
+        assert rep.path == "saddle_lu"
+        assert rep.constraint_residual <= 1e-12 and rep.stationarity_residual <= 1e-12
+
+    def test_substitution_reports_no_fill(self):
+        assert solve_poisson(pinned_segments(), QUAD, "boundary_only").factor_nnz == 0
