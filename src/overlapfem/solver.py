@@ -1,6 +1,6 @@
 """Equality-constrained quadratic solves: Poisson, implicit steps, bi-Laplace, modes."""
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -43,16 +43,19 @@ CG_MAX_ITERATIONS = 1000
 # K + K^T, applied to rows and columns alike, with diagonal pivots.
 _QUASI_DEFINITE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                    "options": {"SymmetricMode": True}}
-# Refinement of a quasi-definite solve stops at this residual relative to the
-# right-hand side, or after a step that does not halve the residual. Each step
-# shrinks the residual by about eps over eps plus the smallest eigenvalue of
-# A Q^-1 A^T. Steps taken: 2 on all_vertices annulus2d_poisson and
-# annulus2d_laplace at m = 1 to 8 (3 on annulus2d_poisson at m = 8), and 2 per
-# shift-invert application of modes on annulus2d_poisson; 2, 3, 4 and 12 on
-# all_vertices seg1d_poisson at 20, 40, 80 and 160 vertices per segment. At
-# 320 a step no longer halves the residual and the LU sequence takes over.
-QD_REFINE_RTOL = 1e-14
-QD_REFINE_STEPS = 20
+# Refinement of every saddle factorization stops at this residual relative to
+# the right-hand side, or after a step that does not halve the residual. On
+# the quasi-definite factor each step shrinks the residual by about eps over
+# eps plus the smallest eigenvalue of A Q^-1 A^T. Steps taken: 2 on
+# all_vertices annulus2d_poisson and annulus2d_laplace at m = 1 to 8 (3 on
+# annulus2d_poisson at m = 8), and 2 per shift-invert application of modes on
+# annulus2d_poisson; 2, 3, 4 and 12 on all_vertices seg1d_poisson at 20, 40,
+# 80 and 160 vertices per segment. At 320 a step no longer halves the
+# residual and the LU sequence takes over. The LU takes 2 steps there and at
+# 640 (the second does not halve), 1 on seg1d_bilaplace at 20 to 160 (2 for
+# high_order at 80), and none on the 3D box bi-Laplace systems.
+REFINE_RTOL = 1e-14
+REFINE_STEPS = 20
 
 COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY, BOUNDARY_ONLY_THINNED)
 BILAPLACE_COUPLINGS = ("value_only", "low_order", "high_order")
@@ -73,7 +76,6 @@ class SolveReport:
     z: np.ndarray = None
     constraint_residual: float = 0.0
     stationarity_residual: float = 0.0
-    energy: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
     # "saddle_qd" (Q's diagonal positive), "saddle_lu", "saddle_lu_eps" or "substitution_cg"
@@ -134,11 +136,10 @@ class _SaddleSolver:
         self.m = A.shape[0]
         diagonal = Q.diagonal()
         eps = 1e-10 * (float(np.abs(diagonal).max(initial=0.0)) or 1.0)
-        # (path, multiplier shift, splu options, refinement steps, refinement stop)
-        self._attempts = [("saddle_lu", 0.0, {}, 1, 0.0), ("saddle_lu_eps", eps, {}, 1, 0.0)]
+        # (path, multiplier shift, splu options)
+        self._attempts = [("saddle_lu", 0.0, {}), ("saddle_lu_eps", eps, {})]
         if (diagonal > 0).all():
-            self._attempts.insert(0, ("saddle_qd", eps, _QUASI_DEFINITE, QD_REFINE_STEPS,
-                                      QD_REFINE_RTOL))
+            self._attempts.insert(0, ("saddle_qd", eps, _QUASI_DEFINITE))
         self.path = self._attempts[0][0]
         self.factor_nnz = 0
         self._lu = None
@@ -147,7 +148,7 @@ class _SaddleSolver:
         scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
         while self._attempts or self._lu is not None:
             if self._lu is None:
-                self.path, shift, options, self._steps, self._rtol = self._attempts.pop(0)
+                self.path, shift, options = self._attempts.pop(0)
                 K = self.K
                 if shift:
                     diag = np.r_[np.zeros(K.shape[0] - self.m), np.full(self.m, shift)]
@@ -166,13 +167,13 @@ class _SaddleSolver:
 
     def _refined(self, rhs, scale):
         """(x, max residual) of the factor's solution refined against K: up to
-        ``_steps`` steps, ending early at a residual of ``_rtol * scale`` or
-        after a step that does not halve the residual."""
+        ``REFINE_STEPS`` steps, ending early at a residual of ``REFINE_RTOL *
+        scale`` or after a step that does not halve the residual."""
         x = self._lu.solve(rhs)
         r = rhs - self.K @ x
         residual = np.abs(r).max(initial=0.0)
-        for _ in range(self._steps):
-            if residual <= self._rtol * scale:
+        for _ in range(REFINE_STEPS):
+            if residual <= REFINE_RTOL * scale:
                 break
             x += self._lu.solve(r)
             r = rhs - self.K @ x
@@ -209,8 +210,6 @@ def _substitution_core(Q, A, b, c):
     R.eliminate_zeros()
     m, n = R.shape
     lengths = np.diff(R.indptr)
-    if not lengths.all():
-        return _saddle_core(Q, A, b, c)
     # Sorting by row, then by descending value, keeps each row's CSR block in place.
     pivot = np.lexsort((-R.data, np.repeat(np.arange(m), lengths)))[R.indptr[:-1]]
     slave = R.indices[pivot]
@@ -284,7 +283,6 @@ def _constrained_solve(Q, b, A, c, fixed, core):
         multipliers=lam,
         constraint_residual=feas,
         stationarity_residual=stat / max(stat_scale, 1e-300),
-        energy=float(0.5 * u @ (Q @ u) - b @ u),
         dropped_rows=A.shape[0] - len(keep),
         path=path,
         iterations=iterations,
@@ -348,9 +346,7 @@ def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     f = _load_vector(domain, rhs)
     Q = L if alpha is None else M + alpha * L
     report = _constrained_solve(Q, M @ f, Amat, None, _dirichlet_fixed(domain), _substitution_core)
-    report.offsets = offsets
-    report.constraints = cs
-    return report
+    return replace(report, offsets=offsets, constraints=cs)
 
 
 def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0):
@@ -438,21 +434,10 @@ def solve_bilaplace(
             (N + domain.global_index(s, v), val) for s, v, val in dirichlet_laplacians
         ]
     inner = solve_kkt(core, rhs, sp.block_diag([Au, Az]), fixed=fixed)
-    u = inner.u[:N]
-    z = inner.u[N:]
-    return SolveReport(
-        u=u,
-        offsets=offsets,
-        multipliers=inner.multipliers[:mu],
-        multipliers_z=inner.multipliers[mu:],
-        z=z,
-        constraint_residual=inner.constraint_residual,
-        stationarity_residual=inner.stationarity_residual,
-        energy=float(z @ (M @ z) - 2.0 * (u @ (M @ f))),
-        constraints=cs,
+    return replace(
+        inner, u=inner.u[:N], z=inner.u[N:], offsets=offsets, constraints=cs,
+        multipliers=inner.multipliers[:mu], multipliers_z=inner.multipliers[mu:],
         dropped_rows=dropped,
-        path=inner.path,
-        factor_nnz=inner.factor_nnz,
     )
 
 
@@ -504,24 +489,12 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     fixed = _dirichlet_fixed(domain)
     inner = solve_kkt(Q, b, A, c, fixed=fixed)
 
-    u = inner.u[:N]
-    lam_z = inner.u[N : N + m]
-    y = inner.u[N + m :]
     z = z_fixed.copy()
-    z[z_free] = y / np.sqrt(mdiag[z_free])
-    lam_u = inner.multipliers[:m] / 2.0
-    return SolveReport(
-        u=u,
-        offsets=offsets,
-        multipliers=lam_u,
-        multipliers_z=lam_z,
-        z=z,
-        constraint_residual=inner.constraint_residual,
-        stationarity_residual=inner.stationarity_residual,
-        energy=float(y @ y - 2.0 * (u @ (M @ f))),
-        constraints=cs,
-        path=inner.path,
-        factor_nnz=inner.factor_nnz,
+    z[z_free] = inner.u[N + m :] / np.sqrt(mdiag[z_free])
+    return replace(
+        inner, u=inner.u[:N], z=z, offsets=offsets, constraints=cs,
+        multipliers=inner.multipliers[:m] / 2.0, multipliers_z=inner.u[N : N + m],
+        dropped_rows=len(cs) - m,
     )
 
 

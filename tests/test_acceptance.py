@@ -181,6 +181,18 @@ class TestBilaplaceCouplings:
         for coarse, fine in zip(jumps, jumps[1:]):
             assert coarse >= 2.0 * fine
 
+    def test_low_order_matches_slopes_but_stagnates(self):
+        # The slope rows hold at the inner boundary, yet u locks: the error
+        # stays near 0.19 as h halves.
+        jumps = self.jumps_at_inner_boundary("low_order")
+        assert max(jumps) <= 1e-12
+        rows = run_convergence(
+            ExperimentConfig("seg1d_bilaplace", coupling="low_order", resolutions=(20, 40, 80))
+        )
+        errors = errors_of(rows)
+        assert min(errors) >= 0.1
+        assert errors[-1] >= 0.9 * errors[0]
+
 
 def bilaplace_configurations():
     n = 21
@@ -247,6 +259,7 @@ class TestBilaplaceRowReduction:
             rows, dropped = expected[name]
             assert (len(kkt.constraints), kkt.dropped_rows) == (rows, dropped), name
             assert len(convex.multipliers) == rows - dropped, name
+            assert convex.dropped_rows == dropped, name
 
 
 class TestDuplicatedMeshOracle:

@@ -94,6 +94,9 @@ class TestParseConfig:
             "scenario = seg1d_bilaplace\ncoupling = all_vertices\n",
             "scenario = custom\n",
             "scenario with no equals sign\n",
+            "scenario = seg1d_poisson\nnum_modes = 0\n",
+            "scenario = custom\nmesh_files = a.dmesh,b.dmesh\ndirichlet = 0:0\n",
+            "scenario = seg1d_poisson\nquadrature = symmetric\nn_points = 3\n",
         ],
     )
     def test_rejects_bad_configs(self, text):
@@ -125,6 +128,10 @@ class TestParseConfig:
         assert main(["converge", str(cfg)]) == 1
         assert capsys.readouterr().err.startswith("config error:")
         assert list(tmp_path.iterdir()) == [cfg]
+
+    def test_annulus_laplace_rejects_a_load_when_built(self):
+        with pytest.raises(ConfigError, match="requires f = 0"):
+            run_convergence(ExperimentConfig("annulus2d_laplace", f=1.0))
 
     def test_relative_paths_resolve_against_base_dir(self, tmp_path):
         text = "scenario = seg1d_poisson\noutput = out.csv\n"
@@ -503,6 +510,23 @@ class TestCli:
         monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
         assert main(["solve", str(cfg)]) == 2
         assert "substitution_cg did not converge in 1 iterations" in capsys.readouterr().err
+
+    def test_converge_records_failed_resolutions(self, tmp_path, capsys, monkeypatch):
+        # substitution_cg takes 18, 38 and 78 iterations at these resolutions.
+        out = tmp_path / "table.csv"
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 20,40,80\noutput = %s\n" % out)
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 25)
+        assert main(["converge", str(cfg)]) == 0
+        header, *rows = [line.split(",") for line in out.read_text().splitlines()]
+        assert header == CONVERGENCE_HEADER.split(",")
+        assert len(rows) == 3
+        assert rows[0][-1] == "ok" and float(rows[0][2]) > 0
+        for row in rows[1:]:
+            assert row[2:] == ["", "", "0", "failed: substitution_cg did not converge in 25 iterations"]
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        assert main(["converge", str(cfg)]) == 2
+        assert "solver failure: every resolution failed" in capsys.readouterr().err
 
     def test_too_many_modes_exit_code(self, tmp_path, capsys):
         # 12 vertices and 2 boundary-only rows leave 10 degrees of freedom.
