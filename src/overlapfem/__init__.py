@@ -11,15 +11,13 @@ from .mesh import (
     generate_segment,
     load_mesh,
     save_mesh,
-    simplex_measure,
     submesh,
 )
-from .geometry import PointLocator, barycentric_coordinates, build_trees, locate_point
+from .geometry import PointLocator, build_trees
 from .fem import (
     QuadratureSpec,
     adjusted_volumes,
     assemble_global,
-    gradient_matrix,
     lumped_mass_matrix,
     stiffness_matrix,
 )

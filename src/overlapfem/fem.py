@@ -7,12 +7,10 @@ import numpy as np
 import scipy.sparse as sp
 
 from .geometry import other_coverage_counts
-from .mesh import simplex_measures
 
 __all__ = [
     "QuadratureSpec",
     "quadrature_rule",
-    "gradient_matrix",
     "adjusted_volumes",
     "stiffness_matrix",
     "lumped_mass_matrix",
@@ -130,21 +128,6 @@ def _hat_gradients(mesh):
     return g
 
 
-def gradient_matrix(mesh):
-    """Sparse per-element gradient operator, shape (d*t, n).
-
-    Rows d*k .. d*k+d-1 hold the constant gradient of the piecewise-linear
-    interpolant on simplex k.
-    """
-    g = _hat_gradients(mesh)
-    _, d, t = g.shape
-    rows = np.broadcast_to(d * np.arange(t) + np.arange(d)[:, None], g.shape)
-    cols = np.broadcast_to(mesh.simplices.T[:, None, :], g.shape)
-    return sp.csr_matrix(
-        (g.ravel(), (rows.ravel(), cols.ravel())), shape=(d * t, mesh.num_vertices)
-    )
-
-
 def _element_points(mesh, bary):
     """Physical quadrature points per element, nudged toward the centroid."""
     corners = mesh.vertices[mesh.simplices]  # (t, d+1, d)
@@ -160,7 +143,7 @@ def adjusted_volumes(domain, k, quad):
     once without a query; only the other subdomains are searched.
     """
     mesh = domain.subdomains[k]
-    measures = simplex_measures(mesh)
+    measures = mesh.measures
     t = mesh.num_simplices
     d = mesh.dim
     if quad.scheme == "monte_carlo":

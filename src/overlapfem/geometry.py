@@ -1,16 +1,10 @@
 """Point location and barycentric coordinates over simplicial meshes."""
 
-from dataclasses import dataclass
-
 import numpy as np
 
 # simplex_coordinates is left out: it is timed as part of locate_points.
 __all__ = [
-    "GeometryError",
-    "PointLocation",
     "PointLocator",
-    "barycentric_coordinates",
-    "locate_point",
     "locate_points",
     "brute_force_locate",
     "other_coverage_counts",
@@ -24,35 +18,6 @@ CONTAINMENT_TOL = 1e-10
 # Candidate pairs are gathered this many at a time, which bounds the memory
 # held while they are filtered and their coordinates computed.
 _BLOCK_PAIRS = 1 << 17
-
-
-class GeometryError(ValueError):
-    pass
-
-
-@dataclass
-class PointLocation:
-    """A containing simplex plus the point's barycentric coordinates in it."""
-
-    simplex: int
-    coords: np.ndarray
-
-
-def barycentric_coordinates(simplex_vertices, p):
-    """Barycentric coordinates of ``p`` in d+1 simplex corners by one LAPACK
-    solve; a reference for :func:`simplex_coordinates`, which location uses.
-
-    Coordinates always sum to one; they are negative for exterior points.
-    """
-    X = np.asarray(simplex_vertices, dtype=float)
-    p = np.asarray(p, dtype=float)
-    d = X.shape[1]
-    A = np.vstack([np.ones(d + 1), X.T])
-    rhs = np.concatenate([[1.0], p])
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError:
-        raise GeometryError("degenerate simplex in barycentric_coordinates") from None
 
 
 def simplex_coordinates(mesh, points, simplices):
@@ -145,18 +110,6 @@ class PointLocator:
         return pi, si
 
 
-def locate_point(tree, p):
-    """:func:`locate_points` on one point, plus its coordinates in the simplex.
-
-    Returns None when no simplex of ``tree.mesh`` contains the point.
-    """
-    p = np.asarray(p, dtype=float)[None, :]
-    simplex = int(locate_points(tree, p)[0])
-    if simplex < 0:
-        return None
-    return PointLocation(simplex, simplex_coordinates(tree.mesh, p, [simplex])[0])
-
-
 def locate_points(tree, points):
     """Index of a simplex of ``tree.mesh`` containing each point (closed
     containment, lowest index wins; -1 where none)."""
@@ -178,13 +131,12 @@ def locate_points(tree, points):
 
 
 def brute_force_locate(mesh, p):
-    """Reference for :func:`locate_point`: no grid, the containment check on
-    every simplex, and the first simplex in index order that passes."""
+    """Reference for :func:`locate_points` on one point: no grid, the
+    containment check on every simplex, and the first simplex in index order
+    that passes (-1 where none)."""
     coords = simplex_coordinates(mesh, np.asarray(p, dtype=float), np.arange(mesh.num_simplices))
     inside = np.flatnonzero((coords >= -CONTAINMENT_TOL).all(axis=1))
-    if inside.size == 0:
-        return None
-    return PointLocation(int(inside[0]), coords[inside[0]])
+    return int(inside[0]) if inside.size else -1
 
 
 def other_coverage_counts(domain, k, points):

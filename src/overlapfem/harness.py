@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from .fem import QuadratureSpec, assemble_global
-from .geometry import locate_point, other_coverage_counts
+from .geometry import locate_points, other_coverage_counts
 from .mesh import (
     DeconstructedDomain,
     MeshError,
@@ -484,18 +484,18 @@ def _derivative_jumps(domain, report):
     jumps = []
     for a, mesh_a in enumerate(domain.subdomains):
         ua = report.subdomain_values(a)
-        for v in sorted(domain.boundary_vertex_sets[a]):
-            p = mesh_a.vertices[v]
-            for b, mesh_b in enumerate(domain.subdomains):
-                if b == a:
+        verts = sorted(domain.boundary_vertex_sets[a])
+        points = mesh_a.vertices[verts]
+        others = [b for b in range(len(domain.subdomains)) if b != a]
+        found = [locate_points(domain.locators[b], points) for b in others]
+        for i, v in enumerate(verts):
+            incident = np.nonzero((mesh_a.simplices == v).any(axis=1))[0]
+            own = _slope(mesh_a, ua, int(incident[0]))
+            for b, simplices in zip(others, found):
+                if simplices[i] < 0:
                     continue
-                loc = locate_point(domain.locators[b], p)
-                if loc is None:
-                    continue
-                other = _slope(mesh_b, report.subdomain_values(b), loc.simplex)
-                incident = np.nonzero((mesh_a.simplices == v).any(axis=1))[0]
-                own = _slope(mesh_a, ua, int(incident[0]))
-                jumps.append((a, int(v), float(p[0]), abs(own - other)))
+                other = _slope(domain.subdomains[b], report.subdomain_values(b), int(simplices[i]))
+                jumps.append((a, int(v), float(points[i, 0]), abs(own - other)))
     return jumps
 
 

@@ -24,8 +24,6 @@ __all__ = [
     "submesh",
     "boundary_facets",
     "boundary_vertices",
-    "simplex_measure",
-    "simplex_measures",
 ]
 
 # A simplex whose measure falls below this fraction of diag^d is degenerate.
@@ -141,18 +139,6 @@ def _adjugates(e):
     return adj
 
 
-def simplex_measures(mesh):
-    """Positive d-measures of all simplices as a read-only array of length t."""
-    return mesh.measures
-
-
-def simplex_measure(mesh, t):
-    """Length/area/volume of simplex ``t``."""
-    if not 0 <= t < mesh.num_simplices:
-        raise IndexError("simplex index %d out of range" % t)
-    return float(simplex_measures(mesh)[t])
-
-
 def _boundary_facet_array(mesh):
     """Boundary facets as rows of sorted vertex indices, in lexicographic order.
 
@@ -238,10 +224,6 @@ class DeconstructedDomain:
     def stacked_vertices(self):
         """All subdomain vertex coordinates stacked in global order, shape (N, d)."""
         return np.vstack([m.vertices for m in self.subdomains])
-
-    def bbox_diagonal(self):
-        pts = self.stacked_vertices()
-        return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
 
 
 # ---------------------------------------------------------------------------

@@ -9,11 +9,9 @@ import scipy.sparse.linalg as spla
 from .coupling import (
     ALL_VERTICES,
     BOUNDARY_ONLY,
-    BOUNDARY_ONLY_THINNED,
     all_vertex_constraints,
     boundary_only_constraints,
     constraint_matrix,
-    thin_constraints,
 )
 from .fem import assemble_global
 
@@ -44,20 +42,20 @@ CG_MAX_ITERATIONS = 1000
 _QUASI_DEFINITE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                    "options": {"SymmetricMode": True}}
 # Refinement of every saddle factorization stops at this residual relative to
-# the right-hand side, or after a step that does not halve the residual. On
-# the quasi-definite factor each step shrinks the residual by about eps over
-# eps plus the smallest eigenvalue of A Q^-1 A^T. Steps taken: 2 on
-# all_vertices annulus2d_poisson and annulus2d_laplace at m = 1 to 8 (3 on
-# annulus2d_poisson at m = 8), and 2 per shift-invert application of modes on
-# annulus2d_poisson; 2, 3, 4 and 12 on all_vertices seg1d_poisson at 20, 40,
-# 80 and 160 vertices per segment. At 320 a step no longer halves the
-# residual and the LU sequence takes over. The LU takes 2 steps there and at
-# 640 (the second does not halve), 1 on seg1d_bilaplace at 20 to 160 (2 for
-# high_order at 80), and none on the 3D box bi-Laplace systems.
+# the right-hand side, or after a step that does not halve the residual; a
+# step that raises it is not kept. On the quasi-definite factor each step
+# shrinks the residual by about eps over eps plus the smallest eigenvalue of
+# A Q^-1 A^T. Steps taken: 2 on all_vertices annulus2d_poisson and
+# annulus2d_laplace at m = 1 to 8 (3 on annulus2d_poisson at m = 8), and 2 per
+# shift-invert application of modes on annulus2d_poisson; 2, 3, 4 and 12 on
+# all_vertices seg1d_poisson at 20, 40, 80 and 160 vertices per segment. At
+# 320 a step no longer halves the residual and the LU sequence takes over; it
+# takes 2 steps there and at 640 (the second raises the residual), 1 on
+# seg1d_bilaplace at 20 to 160 (2 for high_order at 80), none on 3D box bi-Laplace.
 REFINE_RTOL = 1e-14
 REFINE_STEPS = 20
 
-COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY, BOUNDARY_ONLY_THINNED)
+COUPLING_MODES = ("none", ALL_VERTICES, BOUNDARY_ONLY)
 BILAPLACE_COUPLINGS = ("value_only", "low_order", "high_order")
 
 
@@ -168,17 +166,20 @@ class _SaddleSolver:
     def _refined(self, rhs, scale):
         """(x, max residual) of the factor's solution refined against K: up to
         ``REFINE_STEPS`` steps, ending early at a residual of ``REFINE_RTOL *
-        scale`` or after a step that does not halve the residual."""
+        scale`` or after a step that does not halve the residual. A step is
+        kept only if it lowers the residual."""
         x = self._lu.solve(rhs)
         r = rhs - self.K @ x
         residual = np.abs(r).max(initial=0.0)
         for _ in range(REFINE_STEPS):
             if residual <= REFINE_RTOL * scale:
                 break
-            x += self._lu.solve(r)
-            r = rhs - self.K @ x
-            residual, last = np.abs(r).max(initial=0.0), residual
-            if not residual <= 0.5 * last:
+            step = x + self._lu.solve(r)
+            r_step = rhs - self.K @ step
+            last, stepped = residual, np.abs(r_step).max(initial=0.0)
+            if stepped < last:
+                x, r, residual = step, r_step, stepped
+            if not stepped <= 0.5 * last:
                 break
         return x, residual
 
@@ -307,17 +308,10 @@ def coupling_for_mode(domain, mode):
         raise ValueError("unknown coupling mode %r" % (mode,))
     N = domain.total_vertices
     if mode == "none":
-        cs = None
-        Amat = sp.csr_matrix((0, N))
-    elif mode == ALL_VERTICES:
-        cs = all_vertex_constraints(domain)
-        Amat = constraint_matrix(cs, domain.offsets, N)
-    else:
-        cs = boundary_only_constraints(domain)
-        if mode == BOUNDARY_ONLY_THINNED:
-            cs = thin_constraints(cs)
-        Amat = constraint_matrix(cs, domain.offsets, N)
-    return cs, Amat
+        return None, sp.csr_matrix((0, N))
+    build = all_vertex_constraints if mode == ALL_VERTICES else boundary_only_constraints
+    cs = build(domain)
+    return cs, constraint_matrix(cs, domain.offsets, N)
 
 
 def _load_vector(domain, rhs):

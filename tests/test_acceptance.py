@@ -153,6 +153,21 @@ class TestThinning:
         assert len(thinned) < len(pairwise)
 
 
+class TestThreeSegments:
+    @pytest.mark.parametrize("n", [43, 85])
+    def test_boundary_only_is_nodally_exact(self, n):
+        # -u'' = 1 with u = 0 at x = 0 and x = 1. The free ends 0.6 and 0.3
+        # lie in both other segments and get two rows each, 0.2 and 0.8 one.
+        meshes = [generate_segment(0.0, 0.6, n), generate_segment(0.3, 1.0, n),
+                  generate_segment(0.2, 0.8, n)]
+        domain = DeconstructedDomain(meshes, [(0, 0, 0.0), (1, n - 1, 0.0)])
+        report = solve_poisson(domain, QUAD, "boundary_only")
+        x = domain.stacked_vertices()[:, 0]
+        assert np.abs(report.u - x * (1 - x) / 2).max() <= 1e-12
+        assert len(report.constraints) == 6 and report.path == "saddle_qd"
+        assert len(thin_constraints(report.constraints)) == 4
+
+
 class TestBilaplaceCouplings:
     def test_high_order_converges(self):
         rows = run_convergence(ExperimentConfig("seg1d_bilaplace"))

@@ -15,6 +15,7 @@ from overlapfem import (
     generate_segment,
     thin_constraints,
 )
+from reference import bbox_diagonal
 from test_geometry import MESHES
 
 
@@ -98,7 +99,7 @@ class TestPrecision:
         C = matrix_of(dom, cs)
         X = dom.stacked_vertices()
         for d in range(dom.dim):
-            assert np.abs(C @ X[:, d]).max(initial=0.0) <= 1e-12 * dom.bbox_diagonal()
+            assert np.abs(C @ X[:, d]).max(initial=0.0) <= 1e-12 * bbox_diagonal(dom)
 
 
 def row_fields(cs, r):

@@ -15,13 +15,12 @@ from overlapfem import (
     generate_annulus,
     generate_disk,
     generate_segment,
-    gradient_matrix,
     load_mesh,
     lumped_mass_matrix,
     stiffness_matrix,
 )
 from overlapfem.fem import quadrature_rule
-from overlapfem.mesh import simplex_measures
+from reference import gradient_matrix
 from test_geometry import MESHES
 
 DATA = Path(__file__).parent / "data"
@@ -92,7 +91,7 @@ class TestAdjustedVolumes:
         dom = DeconstructedDomain([mesh])
         np.testing.assert_allclose(
             adjusted_volumes(dom, 0, QuadratureSpec.corner_average()),
-            simplex_measures(mesh),
+            mesh.measures,
             rtol=1e-14,
         )
 
@@ -102,7 +101,7 @@ class TestAdjustedVolumes:
         for spec in (QuadratureSpec.corner_average(), QuadratureSpec.symmetric(4)):
             np.testing.assert_allclose(
                 adjusted_volumes(dom, 0, spec),
-                0.5 * simplex_measures(mesh),
+                0.5 * mesh.measures,
                 rtol=1e-12,
             )
 
@@ -135,7 +134,7 @@ class TestAdjustedVolumes:
     @given(mesh=MESHES, copies=st.integers(1, 3), seed=st.integers(0, 2**32 - 1))
     def test_copies_sum_to_single_mesh_measure(self, mesh, copies, seed):
         dom = DeconstructedDomain([mesh] * copies)
-        measure = simplex_measures(mesh).sum()
+        measure = mesh.measures.sum()
         for spec in (
             QuadratureSpec.corner_average(),
             QuadratureSpec.barycenter(),

@@ -12,22 +12,20 @@ from overlapfem import (
     DeconstructedDomain,
     PointLocator,
     SimplicialMesh,
-    barycentric_coordinates,
     generate_annulus,
     generate_disk,
     generate_segment,
     load_mesh,
-    locate_point,
 )
 from overlapfem.geometry import (
     CONTAINMENT_TOL,
-    GeometryError,
     brute_force_locate,
     locate_points,
     other_coverage_counts,
     simplex_coordinates,
 )
 from overlapfem.mesh import boundary_facets
+from reference import GeometryError, barycentric_coordinates
 
 DATA = Path(__file__).parent / "data"
 
@@ -81,20 +79,9 @@ class TestPointLocation:
         pts = random_points(mesh, 10000, 11)
         found = locate_points(tree, pts)
         for p, t in zip(pts[::37], found[::37]):
-            ref = brute_force_locate(mesh, p)
-            loc = locate_point(tree, p)
-            if ref is None:
-                assert loc is None
-            else:
-                assert loc.simplex == ref.simplex
-                np.testing.assert_allclose(loc.coords, ref.coords, atol=1e-12)
+            assert t == brute_force_locate(mesh, p)
         # full vectorized-vs-brute sweep on simplex ids
-        ref_ids = np.array(
-            [
-                -1 if brute_force_locate(mesh, p) is None else brute_force_locate(mesh, p).simplex
-                for p in pts[:500]
-            ]
-        )
+        ref_ids = np.array([brute_force_locate(mesh, p) for p in pts[:500]])
         np.testing.assert_array_equal(found[:500], ref_ids)
 
     def test_vertices_are_located(self, mesh):
@@ -114,17 +101,9 @@ class TestPointLocation:
 
 
 def assert_matches_oracle(mesh, pts):
-    """Scalar and vectorized location both equal :func:`brute_force_locate`."""
-    tree = PointLocator(mesh)
-    found = locate_points(tree, pts)
-    for p, t in zip(pts, found):
-        ref = brute_force_locate(mesh, p)
-        loc = locate_point(tree, p)
-        if ref is None:
-            assert loc is None and t == -1
-        else:
-            assert loc.simplex == ref.simplex == t
-            np.testing.assert_array_equal(loc.coords, ref.coords)
+    """Vectorized location equals :func:`brute_force_locate` point by point."""
+    found = locate_points(PointLocator(mesh), pts)
+    np.testing.assert_array_equal(found, [brute_force_locate(mesh, p) for p in pts])
 
 
 def facet_midpoints(mesh):
@@ -156,15 +135,15 @@ class TestContainmentTolerance:
         tol = CONTAINMENT_TOL
         # the tolerance acts on barycentric coordinates: physical slack on the
         # first element (length 1/4) is tol / 4
-        assert locate_point(tree, np.array([-tol / 8])) is not None
-        assert locate_point(tree, np.array([-1e-3])) is None
+        assert locate_points(tree, np.array([[-tol / 8]]))[0] >= 0
+        assert locate_points(tree, np.array([[-1e-3]]))[0] == -1
 
     # The slack is barycentric: on elements longer than one unit it reaches
     # farther than the same number in physical units.
     def test_long_segment_matches_brute_force(self):
         mesh = generate_segment(0.0, 100.0, 3)
         tol = CONTAINMENT_TOL
-        assert brute_force_locate(mesh, np.array([-tol * 25])) is not None
+        assert brute_force_locate(mesh, np.array([-tol * 25])) >= 0
         assert_matches_oracle(mesh, np.array([[-tol * 25]]))
 
     def test_large_disk_facet_midpoints_match_brute_force(self):
@@ -247,7 +226,7 @@ class TestCoverage:
         for meshes, pts in ((segments, np.linspace(-0.1, 1.1, 101)[:, None]),
                             (annuli, annulus_pts)):
             counts = other_coverage_counts(DeconstructedDomain(meshes), None, pts)
-            expected = [sum(brute_force_locate(m, p) is not None for m in meshes) for p in pts]
+            expected = [sum(brute_force_locate(m, p) >= 0 for m in meshes) for p in pts]
             np.testing.assert_array_equal(counts, expected)
 
 

@@ -91,6 +91,7 @@ class TestParseConfig:
             "scenario = seg1d_poisson\nquadrature = trapezoid\n",
             "scenario = seg1d_poisson\nn_points = 4\n",
             "scenario = seg1d_poisson\ncoupling = high_order\n",
+            "scenario = seg1d_poisson\ncoupling = boundary_only_thinned\n",
             "scenario = seg1d_bilaplace\ncoupling = all_vertices\n",
             "scenario = custom\n",
             "scenario with no equals sign\n",
@@ -259,6 +260,19 @@ def test_readme_scenario_table_matches_harness():
         assert quadrature == "`%s`" % cfg.quadrature.scheme
         assert tuple(int(n) for n in resolutions.split(",")) == cfg.resolutions
         assert tuple(re.findall(r"`(\w+)`", keys)) == spec.keys
+
+
+def test_readme_coupling_comment_lists_the_modes():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    first, *rest = readme.split("\ncoupling = ", 1)[1].splitlines()
+    comment = [first.split("#", 1)[1]]
+    for line in rest:
+        if not line.lstrip().startswith("#"):
+            break
+        comment.append(line.split("#", 1)[1])
+    poisson, bilaplace = " ".join(comment).split("for seg1d_bilaplace:")
+    assert re.findall(r"\w+", poisson) == list(solver.COUPLING_MODES)
+    assert re.findall(r"\w+", bilaplace) == list(solver.BILAPLACE_COUPLINGS)
 
 
 class TestMaxCircumradius:

@@ -22,7 +22,6 @@ from overlapfem import (
     generate_segment,
     load_mesh,
     save_mesh,
-    simplex_measure,
     solve_poisson,
     submesh,
 )
@@ -31,7 +30,6 @@ from overlapfem.mesh import (
     _read_blocks,
     _read_tokens,
     boundary_facets,
-    simplex_measures,
 )
 from overlapfem.solver import coupling_for_mode
 from test_geometry import MESHES
@@ -52,7 +50,7 @@ class TestSimplicialMesh:
     def test_negative_orientation_is_fixed(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         mesh = SimplicialMesh(2, verts, np.array([[0, 2, 1]]))
-        assert simplex_measure(mesh, 0) == pytest.approx(0.5)
+        assert mesh.measures[0] == pytest.approx(0.5)
 
     def test_degenerate_simplex_rejected(self):
         verts = np.array([[0.0, 0.0], [1.0, 0.0], [2.0, 0.0]])
@@ -76,7 +74,7 @@ class TestSimplicialMesh:
 class TestGenerators:
     def test_segment_measures_sum_to_length(self):
         mesh = generate_segment(-1.0, 3.0, 17)
-        assert simplex_measures(mesh).sum() == pytest.approx(4.0, abs=1e-14)
+        assert mesh.measures.sum() == pytest.approx(4.0, abs=1e-14)
 
     def test_segment_boundary(self):
         mesh = generate_segment(0.0, 1.0, 9)
@@ -89,7 +87,7 @@ class TestGenerators:
 
     def test_annulus_area(self):
         mesh = generate_annulus(1.0, 2.0, 3, 40)
-        assert simplex_measures(mesh).sum() == pytest.approx(
+        assert mesh.measures.sum() == pytest.approx(
             inscribed_ring_area(1.0, 2.0, 40), rel=1e-12
         )
 
@@ -103,7 +101,7 @@ class TestGenerators:
 
     def test_disk_area_and_boundary(self):
         mesh = generate_disk(2.0, 4, 20)
-        assert simplex_measures(mesh).sum() == pytest.approx(
+        assert mesh.measures.sum() == pytest.approx(
             inscribed_ring_area(0.0, 2.0, 20), rel=1e-12
         )
         radii = np.linalg.norm(mesh.vertices, axis=1)
@@ -158,7 +156,7 @@ class TestSubmesh:
         sub = submesh(mesh, keep)
         assert sub.num_simplices == len(keep)
         np.testing.assert_allclose(
-            simplex_measures(sub), simplex_measures(mesh)[keep]
+            sub.measures, mesh.measures[keep]
         )
 
 
@@ -316,7 +314,6 @@ class TestClosedFormGeometry:
 
     def test_measures_are_read_only_and_inverses_cached(self):
         mesh = generate_disk(1.0, 3, 8)
-        assert simplex_measures(mesh) is mesh.measures
         with pytest.raises(ValueError):
             mesh.measures[0] = 1.0
         assert mesh.edge_inverses is mesh.edge_inverses

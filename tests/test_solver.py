@@ -417,11 +417,10 @@ class TestSolvePaths:
             st.tuples(st.floats(0.05, 0.5), st.floats(0.7, 1.3)), min_size=1, max_size=2,
             unique=True,
         ),
-        mode=st.sampled_from(["boundary_only", "boundary_only_thinned"]),
         alpha=st.sampled_from([None, 1e-3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_saddle_lu_property(self, mesh, moves, mode, alpha, seed):
+    def test_matches_saddle_lu_property(self, mesh, moves, alpha, seed):
         # The drawn mesh and one or two copies, each scaled about its low
         # corner and moved along its bounding-box diagonal; every mesh has
         # its lowest-index boundary vertex pinned.
@@ -438,11 +437,11 @@ class TestSolvePaths:
         )
         rhs = rng.uniform(-1.0, 1.0, domain.total_vertices)
         if alpha is None:
-            rep = solve_poisson(domain, QUAD, mode, rhs)
-            ref = saddle_reference(domain, mode, lambda L, M: L, rhs)
+            rep = solve_poisson(domain, QUAD, "boundary_only", rhs)
+            ref = saddle_reference(domain, "boundary_only", lambda L, M: L, rhs)
         else:
-            rep = implicit_step(domain, QUAD, mode, alpha, rhs)
-            ref = saddle_reference(domain, mode, lambda L, M: M + alpha * L, rhs)
+            rep = implicit_step(domain, QUAD, "boundary_only", alpha, rhs)
+            ref = saddle_reference(domain, "boundary_only", lambda L, M: M + alpha * L, rhs)
         assert_close(rep.u, ref.u)
 
     def test_coincident_copies_take_saddle_lu(self):
@@ -594,6 +593,27 @@ class TestQuasiDefinite:
         rep = solve_poisson(domain, QUAD, "all_vertices")
         assert rep.path == "saddle_lu"
         assert rep.constraint_residual <= 1e-12 and rep.stationarity_residual <= 1e-12
+
+    def test_refinement_keeps_the_better_iterate(self):
+        # A stub factor: its first correction cuts the error from 1e-3 to
+        # 1e-6, its second raises it to 1e-2. Refinement stops after the
+        # second and returns the iterate before it.
+        saddle = solver._SaddleSolver(sp.eye(2, format="csr"), sp.csr_matrix([[1.0, 1.0]]))
+        exact = np.array([1.0, 2.0, 3.0])
+        e = np.array([1.0, 0.0, 0.0])
+        first, correction = exact + 1e-3 * e, (1e-6 - 1e-3) * e
+        answers = iter([first, correction, 1e-2 * e])
+
+        class Stub:
+            def solve(self, rhs):
+                return next(answers)
+
+        saddle._lu = Stub()
+        rhs = saddle.K @ exact
+        x, residual = saddle._refined(rhs, 1.0)
+        np.testing.assert_array_equal(x, first + correction)
+        assert residual == np.abs(rhs - saddle.K @ x).max()
+        assert residual < 1e-5
 
     def test_substitution_reports_no_fill(self):
         assert solve_poisson(pinned_segments(), QUAD, "boundary_only").factor_nnz == 0
