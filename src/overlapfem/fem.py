@@ -174,8 +174,10 @@ def stiffness_matrix(mesh, a):
     for i in range(k):
         for j in range(i, k):
             local[i, j] = local[j, i] = a * (g[i] * g[j]).sum(axis=0)
-    s = mesh.simplices.T
+    # int32 indices, the COO's own index type, so that it keeps them uncopied.
+    s = mesh.simplices.T.astype(np.int32)
     rows, cols = (np.broadcast_to(x, local.shape).ravel() for x in (s[:, None], s[None, :]))
+    del g, s
     L = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
     # Entries that cancel exactly are dropped, as a sparse product drops them.
     L.eliminate_zeros()

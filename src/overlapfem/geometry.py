@@ -50,29 +50,42 @@ class PointLocator:
     def __init__(self, mesh):
         self.mesh = mesh
         d, t = mesh.dim, mesh.num_simplices
-        corners = mesh.vertices[mesh.simplices]
+        # (d, d+1, t): the boxes come out axis-major, as candidates filter one
+        # axis at a time, and the corner reduction runs over whole rows.
+        corners = np.take(mesh.vertices.T, mesh.simplices.T, axis=1)
         lo, hi = corners.min(axis=1), corners.max(axis=1)
-        slack = np.sqrt(np.finfo(float).eps) * (hi - lo + np.maximum(np.abs(lo), np.abs(hi)))
-        pad = (d + 1) * CONTAINMENT_TOL * (hi - lo) + slack
-        lo, hi = lo - pad, hi + pad
-        # Axis-major, so that candidates filter one axis at a time.
-        self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
-        self.origin = lo.min(axis=0)
-        span = hi.max(axis=0) - self.origin
+        del corners
+        # In place, each temporary freed once used; + and * commute exactly.
+        pad, slack = hi - lo, np.maximum(np.abs(lo), np.abs(hi))
+        slack += pad
+        slack *= np.sqrt(np.finfo(float).eps)
+        pad *= (d + 1) * CONTAINMENT_TOL
+        pad += slack
+        lo -= pad
+        hi += pad
+        del pad, slack
+        self.lo, self.hi = lo, hi
+        self.origin = lo.min(axis=1)
+        span = hi.max(axis=1) - self.origin
         longest = np.sort(span)[::-1]
         for k in range(d, 0, -1):
             self.cell = (np.prod(longest[:k]) / t) ** (1.0 / k)
             if self.cell <= longest[k - 1]:
                 break
         self.shape = tuple(np.floor(span / self.cell).astype(np.int64) + 1)
-        first, last = (np.floor((b - self.origin) / self.cell).astype(np.int32) for b in (lo, hi))
-        # Expand one axis at a time, simplex ids ascending. int32 halves the memory.
+        first, last = (np.floor((b - self.origin[:, None]) / self.cell).astype(np.int32)
+                       for b in (lo, hi))
+        # Expand one axis at a time, simplex ids ascending, in place and in int32.
         ids, cells = np.arange(t, dtype=np.int32), np.zeros(t, dtype=np.int32)
         for k in range(d):
-            n = last[ids, k] - first[ids, k] + 1
-            step = np.arange(n.sum(), dtype=np.int32) - np.repeat(n.cumsum(dtype=np.int32) - n, n)
-            cells = np.repeat(cells, n) * int(self.shape[k]) + np.repeat(first[ids, k], n) + step
-            ids = np.repeat(ids, n)
+            n = last[k, ids] - first[k, ids] + 1
+            step = np.repeat(n.cumsum(dtype=np.int32) - n, n)
+            np.subtract(np.arange(len(step), dtype=np.int32), step, out=step)
+            cells *= int(self.shape[k])
+            cells += first[k, ids]
+            step += np.repeat(cells, n)
+            cells, ids = step, np.repeat(ids, n)
+        del first, last, n, step
         # The extra, empty last cell stands for everything outside the grid.
         self.bin_size = np.bincount(cells, minlength=np.prod(self.shape) + 1)
         self.bin_start = np.cumsum(self.bin_size) - self.bin_size
@@ -114,8 +127,7 @@ def locate_points(tree, points):
     """Index of a simplex of ``tree.mesh`` containing each point (closed
     containment, lowest index wins; -1 where none)."""
     points = np.asarray(points, dtype=float)
-    sentinel = np.iinfo(np.int64).max
-    found = np.full(len(points), sentinel, dtype=np.int64)
+    found = np.full(len(points), -1, dtype=np.int64)
     block = np.cumsum(tree.bin_size[tree.cells(points)]) // _BLOCK_PAIRS
     edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(points)]
     for start, stop in zip(edges[:-1], edges[1:]):
@@ -125,8 +137,9 @@ def locate_points(tree, points):
         coords = simplex_coordinates(tree.mesh, points[pi], si)
         for column in coords.T:  # faster than a row-wise min
             ok &= column >= -CONTAINMENT_TOL
-        np.minimum.at(found, pi[ok], si[ok])
-    found[found == sentinel] = -1
+        pi, si = pi[ok], si[ok]
+        first = np.diff(pi, prepend=-1) > 0  # by point, then simplex: the lowest index
+        found[pi[first]] = si[first]
     return found
 
 

@@ -1,9 +1,16 @@
-"""Reference arithmetic that tests check the library against; no library code calls it."""
+"""Reference arithmetic that tests check the library against, and the meshes
+and measurements they share; no library code calls it."""
+
+import importlib.util
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import scipy.sparse as sp
 
+from overlapfem import SimplicialMesh
 from overlapfem.fem import _hat_gradients
+from overlapfem.geometry import CONTAINMENT_TOL
 
 
 class GeometryError(ValueError):
@@ -46,3 +53,93 @@ def bbox_diagonal(domain):
     """Diagonal length of the bounding box of all of a domain's vertices."""
     pts = domain.stacked_vertices()
     return float(np.linalg.norm(pts.max(axis=0) - pts.min(axis=0)))
+
+
+class PointLocatorGather:
+    """Reference for ``geometry.PointLocator.__init__``: the grid built from
+    a (t, d+1, d) corner gather with plain, allocating array expressions."""
+
+    def __init__(self, mesh):
+        self.mesh = mesh
+        d, t = mesh.dim, mesh.num_simplices
+        corners = mesh.vertices[mesh.simplices]
+        lo, hi = corners.min(axis=1), corners.max(axis=1)
+        slack = np.sqrt(np.finfo(float).eps) * (hi - lo + np.maximum(np.abs(lo), np.abs(hi)))
+        pad = (d + 1) * CONTAINMENT_TOL * (hi - lo) + slack
+        lo, hi = lo - pad, hi + pad
+        # Axis-major, so that candidates filter one axis at a time.
+        self.lo, self.hi = np.ascontiguousarray(lo.T), np.ascontiguousarray(hi.T)
+        self.origin = lo.min(axis=0)
+        span = hi.max(axis=0) - self.origin
+        longest = np.sort(span)[::-1]
+        for k in range(d, 0, -1):
+            self.cell = (np.prod(longest[:k]) / t) ** (1.0 / k)
+            if self.cell <= longest[k - 1]:
+                break
+        self.shape = tuple(np.floor(span / self.cell).astype(np.int64) + 1)
+        first, last = (np.floor((b - self.origin) / self.cell).astype(np.int32) for b in (lo, hi))
+        # Expand one axis at a time, simplex ids ascending. int32 halves the memory.
+        ids, cells = np.arange(t, dtype=np.int32), np.zeros(t, dtype=np.int32)
+        for k in range(d):
+            n = last[ids, k] - first[ids, k] + 1
+            step = np.arange(n.sum(), dtype=np.int32) - np.repeat(n.cumsum(dtype=np.int32) - n, n)
+            cells = np.repeat(cells, n) * int(self.shape[k]) + np.repeat(first[ids, k], n) + step
+            ids = np.repeat(ids, n)
+        # The extra, empty last cell stands for everything outside the grid.
+        self.bin_size = np.bincount(cells, minlength=np.prod(self.shape) + 1)
+        self.bin_start = np.cumsum(self.bin_size) - self.bin_size
+        # Sort by cell, then simplex, as one int64 key sorted in place. An
+        # argsort's index array and merge buffer, next to cells and ids, left
+        # freed heap behind that stayed resident through the solve.
+        keys = cells.astype(np.int64)
+        del cells
+        keys *= t
+        keys += ids
+        del ids
+        keys.sort()
+        np.remainder(keys, t, out=keys)
+        self.bins = keys.astype(np.int32)
+
+
+def stiffness_matrix_coo(mesh, a):
+    """Reference for ``fem.stiffness_matrix``: the same COO sum, with int64
+    indices broadcast from ``mesh.simplices`` and every input held to the end."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != (mesh.num_simplices,):
+        raise ValueError("adjusted volumes have wrong length")
+    if (a < 0).any():
+        raise ValueError("negative adjusted volume at element %d" % int(np.argmax(a < 0)))
+    g = _hat_gradients(mesh)
+    k, n = len(g), mesh.num_vertices
+    local = np.empty((k, k, mesh.num_simplices))
+    for i in range(k):
+        for j in range(i, k):
+            local[i, j] = local[j, i] = a * (g[i] * g[j]).sum(axis=0)
+    s = mesh.simplices.T
+    rows, cols = (np.broadcast_to(x, local.shape).ravel() for x in (s[:, None], s[None, :]))
+    L = sp.coo_matrix((local.ravel(), (rows, cols)), shape=(n, n)).tocsr()
+    # Entries that cancel exactly are dropped, as a sparse product drops them.
+    L.eliminate_zeros()
+    return L
+
+
+def kuhn_box(n):
+    """The unit cube cut into n^3 cells of six Kuhn tetrahedra each: the
+    benchmark's own mesh, from ``perfbench/boxmesh.py`` loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "boxmesh.py"
+    spec = importlib.util.spec_from_file_location("boxmesh", path)
+    boxmesh = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(boxmesh)
+    return SimplicialMesh(3, *boxmesh.cube_arrays(0, n))
+
+
+def traced_transient(build):
+    """``build()`` and the bytes it allocated at its peak beyond what it
+    still holds on return, as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        out = build()
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return out, peak - current

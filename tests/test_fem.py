@@ -20,7 +20,7 @@ from overlapfem import (
     stiffness_matrix,
 )
 from overlapfem.fem import quadrature_rule
-from reference import gradient_matrix
+from reference import gradient_matrix, kuhn_box, stiffness_matrix_coo, traced_transient
 from test_geometry import MESHES
 
 DATA = Path(__file__).parent / "data"
@@ -207,3 +207,43 @@ class TestStiffnessElementMatrices:
         assert abs(L - ref).max() <= 1e-14 * np.abs(ref.data).max()
         assert L.has_canonical_format
         assert (L.data != 0).all()
+
+
+def assert_same_csr(mesh, seed):
+    """The stiffness matrix equals the int64-index COO reference bit for bit."""
+    a = np.random.default_rng(seed).uniform(0.5, 1.0, mesh.num_simplices)
+    L, ref = stiffness_matrix(mesh, a), stiffness_matrix_coo(mesh, a)
+    for name in ("indptr", "indices", "data"):
+        got, want = getattr(L, name), getattr(ref, name)
+        assert got.dtype == want.dtype, name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+
+
+class TestStiffnessMatchesCooReference:
+    @pytest.mark.parametrize(
+        "mesh",
+        [
+            generate_segment(-3.0, 7.0, 200),
+            generate_annulus(5.0 / 4.0, 2.0, 50, 576, math.pi / 576),
+            kuhn_box(6),
+        ],
+        ids=["segment", "annulus", "kuhn_box"],
+    )
+    def test_same_csr(self, mesh):
+        assert_same_csr(mesh, 4)
+
+    @settings(max_examples=30)
+    @given(mesh=MESHES, seed=st.integers(0, 2**32 - 1))
+    def test_same_csr_property(self, mesh, seed):
+        assert_same_csr(mesh, seed)
+
+
+def test_stiffness_transient_is_bounded():
+    # On an 8^3 Kuhn box, assembly's transient was 42 times the bytes of the
+    # CSR it returns with int64 COO indices, and is 24 times with int32 ones
+    # and the hat gradients freed first.
+    mesh = kuhn_box(8)
+    mesh.edge_inverses  # cached on the mesh, so not counted
+    a = mesh.measures.copy()
+    L, transient = traced_transient(lambda: stiffness_matrix(mesh, a))
+    assert transient <= 32 * (L.data.nbytes + L.indices.nbytes + L.indptr.nbytes)
