@@ -37,43 +37,26 @@ def _emit(config, text, suffix=None):
             raise ConfigError("cannot write output %s: %s" % (path, exc)) from None
 
 
-def _cmd_converge(config):
+def _converge(config):
     rows = run_convergence(config)
     _emit(config, convergence_csv(rows))
     if config.penalty_weights:
         _emit(config, penalty_csv(run_penalty_sweep(config)), suffix=".penalty.csv")
     if all(r["solve_status"] != "ok" for r in rows):
         raise SolverError("every resolution failed")
-    return 0
 
 
-def _cmd_probe(config):
-    _emit(config, probe_csv(locking_probe(config)))
-    return 0
-
-
-def _cmd_modes(config):
-    _emit(config, modes_csv(run_modes(config)))
-    return 0
-
-
-def _cmd_constraints(config):
-    _emit(config, constraints_to_csv(run_constraints(config)))
-    return 0
-
-
-def _cmd_solve(config):
-    domain, report = run_solve(config)
-    _emit(config, solution_csv(domain, report))
-    return 0
-
-
-_COMMANDS = {
-    "converge": _cmd_converge,
-    "probe": _cmd_probe,
-    "modes": _cmd_modes,
-    "constraints": _cmd_constraints,
-    "solve": _cmd_solve,
+# Verb -> (help text, runner); a runner writes the verb's CSV output for a config.
+_VERBS = {
+    "converge": ("resolution sweep with L-infinity errors against closed forms", _converge),
+    "probe": ("locking probe: affine-fit residual and derivative jumps",
+              lambda config: _emit(config, probe_csv(locking_probe(config)))),
+    "modes": ("first constrained eigenvalues at the finest resolution",
+              lambda config: _emit(config, modes_csv(run_modes(config)))),
+    "constraints": ("dump the coupling constraint set as CSV",
+                    lambda config: _emit(config, constraints_to_csv(run_constraints(config)))),
+    "solve": ("dump one solution as CSV",
+              lambda config: _emit(config, solution_csv(*run_solve(config)))),
 }
 
 
@@ -83,13 +66,7 @@ def build_parser():
         description="Experiments on overlapping-mesh FEM deconstructed domains.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("converge", "resolution sweep with L-infinity errors against closed forms"),
-        ("probe", "locking probe: affine-fit residual and derivative jumps"),
-        ("modes", "first constrained eigenvalues at the finest resolution"),
-        ("constraints", "dump the coupling constraint set as CSV"),
-        ("solve", "dump one solution as CSV"),
-    ):
+    for name, (help_text, _) in _VERBS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("config", help="experiment config file (key = value lines)")
     return parser
@@ -99,7 +76,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
-        return _COMMANDS[args.command](config)
+        _VERBS[args.command][1](config)
+        return 0
     except (ConfigError, MeshError) as exc:
         print("config error: %s" % exc, file=sys.stderr)
         return 1

@@ -49,7 +49,7 @@ class QuadratureSpec:
         return cls("barycenter")
 
     @classmethod
-    def symmetric(cls, n_points):
+    def symmetric(cls, n_points=10):
         return cls("symmetric_fixed_order", n_points=n_points)
 
     @classmethod
@@ -195,11 +195,8 @@ def lumped_mass_matrix(mesh, a):
 
 
 def assemble_global(domain, quad):
-    """Block-diagonal stiffness and mass over all subdomains.
-
-    Returns (L, M, offsets) where offsets[i] is the global row of subdomain
-    i's vertex 0 (length K+1; offsets[-1] is the total vertex count).
-    """
+    """Block-diagonal stiffness and mass (L, M) over all subdomains, in the
+    global vertex order of ``domain.offsets``."""
     Ls, Ms = [], []
     for k, mesh in enumerate(domain.subdomains):
         a = adjusted_volumes(domain, k, quad)
@@ -207,4 +204,4 @@ def assemble_global(domain, quad):
         Ms.append(lumped_mass_matrix(mesh, a))
     L = sp.block_diag(Ls, format="csr")
     M = sp.block_diag(Ms, format="csr")
-    return L, M, domain.offsets
+    return L, M

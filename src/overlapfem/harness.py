@@ -148,12 +148,12 @@ def _listed(parse):
     return lambda raw: tuple(parse(item.strip()) for item in raw.split(","))
 
 
-# Quadrature scheme name -> (QuadratureSpec constructor, its sub-keys with defaults).
+# Quadrature scheme name -> (QuadratureSpec constructor, its sub-keys).
 _QUADRATURES = {
-    "corner_average": (QuadratureSpec.corner_average, {}),
-    "barycenter": (QuadratureSpec.barycenter, {}),
-    "symmetric": (QuadratureSpec.symmetric, {"n_points": 10}),
-    "monte_carlo": (QuadratureSpec.monte_carlo, {"samples_per_element": 100, "seed": 0}),
+    "corner_average": (QuadratureSpec.corner_average, ()),
+    "barycenter": (QuadratureSpec.barycenter, ()),
+    "symmetric": (QuadratureSpec.symmetric, ("n_points",)),
+    "monte_carlo": (QuadratureSpec.monte_carlo, ("samples_per_element", "seed")),
 }
 
 
@@ -208,9 +208,9 @@ def parse_config(text, base_dir=None):
     if "quadrature" in values:
         if values["quadrature"] not in _QUADRATURES:
             raise ConfigError("unknown quadrature scheme %r" % (values["quadrature"],))
-        make, defaults = _QUADRATURES[values["quadrature"]]
+        make, keys = _QUADRATURES[values["quadrature"]]
         try:
-            values["quadrature"] = make(*(values.pop(k, d) for k, d in defaults.items()))
+            values["quadrature"] = make(**{k: values.pop(k) for k in keys if k in values})
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     base = Path(base_dir or ".")
@@ -554,7 +554,7 @@ def run_penalty_sweep(config):
         raise ConfigError("penalty_weights is empty")
     scenario = _with_reference(config, config.resolutions[-1])
     domain = scenario.domain
-    L, M, _ = assemble_global(domain, config.quadrature)
+    L, M = assemble_global(domain, config.quadrature)
     _, C = coupling_for_mode(domain, config.coupling)
     b = M @ np.full(domain.total_vertices, scenario.f)
     fixed = _dirichlet_fixed(domain)
@@ -580,7 +580,7 @@ def run_modes(config):
     """First ``num_modes`` constrained eigenvalues at the finest resolution."""
     scenario = build_scenario(config, config.resolutions[-1])
     domain = scenario.domain
-    L, M, _ = assemble_global(domain, config.quadrature)
+    L, M = assemble_global(domain, config.quadrature)
     _, A = _value_coupling(config, domain)
     pairs = constrained_modes(L, M, A, config.num_modes)
     return [val for val, _ in pairs]

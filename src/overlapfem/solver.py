@@ -41,17 +41,11 @@ CG_MAX_ITERATIONS = 1000
 # K + K^T, applied to rows and columns alike, with diagonal pivots.
 _QUASI_DEFINITE = {"permc_spec": "MMD_AT_PLUS_A", "diag_pivot_thresh": 0.0,
                    "options": {"SymmetricMode": True}}
-# Refinement of every saddle factorization stops at this residual relative to
-# the right-hand side, or after a step that does not halve the residual; a
-# step that raises it is not kept. On the quasi-definite factor each step
+# Refinement of every saddle factorization takes every step, and stops at this
+# residual relative to the right-hand side, after a step that does not halve the
+# residual, or after REFINE_STEPS steps. On the quasi-definite factor each step
 # shrinks the residual by about eps over eps plus the smallest eigenvalue of
-# A Q^-1 A^T. Steps taken: 2 on all_vertices annulus2d_poisson and
-# annulus2d_laplace at m = 1 to 8 (3 on annulus2d_poisson at m = 8), and 2 per
-# shift-invert application of modes on annulus2d_poisson; 2, 3, 4 and 12 on
-# all_vertices seg1d_poisson at 20, 40, 80 and 160 vertices per segment. At
-# 320 a step no longer halves the residual and the LU sequence takes over; it
-# takes 2 steps there and at 640 (the second raises the residual), 1 on
-# seg1d_bilaplace at 20 to 160 (2 for high_order at 80), none on 3D box bi-Laplace.
+# A Q^-1 A^T. The README gives the steps taken per scenario.
 REFINE_RTOL = 1e-14
 REFINE_STEPS = 20
 
@@ -70,7 +64,6 @@ class SolveReport:
     u: np.ndarray
     offsets: np.ndarray = None
     multipliers: np.ndarray = None
-    multipliers_z: np.ndarray = None
     z: np.ndarray = None
     constraint_residual: float = 0.0
     stationarity_residual: float = 0.0
@@ -165,21 +158,18 @@ class _SaddleSolver:
 
     def _refined(self, rhs, scale):
         """(x, max residual) of the factor's solution refined against K: up to
-        ``REFINE_STEPS`` steps, ending early at a residual of ``REFINE_RTOL *
-        scale`` or after a step that does not halve the residual. A step is
-        kept only if it lowers the residual."""
+        ``REFINE_STEPS`` steps, each one taken, ending early at a residual of
+        ``REFINE_RTOL * scale`` or after a step that does not halve the residual."""
         x = self._lu.solve(rhs)
         r = rhs - self.K @ x
         residual = np.abs(r).max(initial=0.0)
         for _ in range(REFINE_STEPS):
             if residual <= REFINE_RTOL * scale:
                 break
-            step = x + self._lu.solve(r)
-            r_step = rhs - self.K @ step
-            last, stepped = residual, np.abs(r_step).max(initial=0.0)
-            if stepped < last:
-                x, r, residual = step, r_step, stepped
-            if not stepped <= 0.5 * last:
+            x += self._lu.solve(r)
+            r = rhs - self.K @ x
+            residual, last = np.abs(r).max(initial=0.0), residual
+            if not residual <= 0.5 * last:
                 break
         return x, residual
 
@@ -335,12 +325,12 @@ def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     """Minimize the form L, or M + alpha L, against load M rhs, coupled by
     ``mode``, with the domain's Dirichlet values, by :func:`_substitution_core`.
     """
-    L, M, offsets = assemble_global(domain, quad)
+    L, M = assemble_global(domain, quad)
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
     Q = L if alpha is None else M + alpha * L
     report = _constrained_solve(Q, M @ f, Amat, None, _dirichlet_fixed(domain), _substitution_core)
-    return replace(report, offsets=offsets, constraints=cs)
+    return replace(report, offsets=domain.offsets, constraints=cs)
 
 
 def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0):
@@ -399,7 +389,7 @@ def solve_bilaplace(
     """
     if coupling not in BILAPLACE_COUPLINGS:
         raise SolverError("unknown bi-Laplace coupling %r" % (coupling,))
-    L, M, offsets = assemble_global(domain, quad)
+    L, M = assemble_global(domain, quad)
     N = domain.total_vertices
     Lp = (-L).tocsr()
     f = _load_vector(domain, load)
@@ -429,9 +419,8 @@ def solve_bilaplace(
         ]
     inner = solve_kkt(core, rhs, sp.block_diag([Au, Az]), fixed=fixed)
     return replace(
-        inner, u=inner.u[:N], z=inner.u[N:], offsets=offsets, constraints=cs,
-        multipliers=inner.multipliers[:mu], multipliers_z=inner.multipliers[mu:],
-        dropped_rows=dropped,
+        inner, u=inner.u[:N], z=inner.u[N:], offsets=domain.offsets, constraints=cs,
+        multipliers=inner.multipliers[:mu], dropped_rows=dropped,
     )
 
 
@@ -444,7 +433,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     elimination done by :func:`solve_bilaplace`, so the two solvers agree on
     shared configurations.
     """
-    L, M, offsets = assemble_global(domain, quad)
+    L, M = assemble_global(domain, quad)
     N = domain.total_vertices
     Lp = (-L).tocsr()
     f = _load_vector(domain, load)
@@ -486,9 +475,8 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     z = z_fixed.copy()
     z[z_free] = inner.u[N + m :] / np.sqrt(mdiag[z_free])
     return replace(
-        inner, u=inner.u[:N], z=z, offsets=offsets, constraints=cs,
-        multipliers=inner.multipliers[:m] / 2.0, multipliers_z=inner.u[N : N + m],
-        dropped_rows=len(cs) - m,
+        inner, u=inner.u[:N], z=z, offsets=domain.offsets, constraints=cs,
+        multipliers=inner.multipliers[:m] / 2.0, dropped_rows=len(cs) - m,
     )
 
 
@@ -514,12 +502,12 @@ def constrained_modes(L, M, A, k):
     # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
     saddle = _SaddleSolver(L - sigma * M, A)
+    OPinv = spla.LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float)
     try:
+        # In shift-invert mode eigsh reads only the shape and dtype of its first argument.
         vals, vecs = spla.eigsh(
-            sp.bmat([[L, A.T], [A, None]]), k,
-            M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
-            OPinv=spla.LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float),
-            ncv=min(N - m, max(2 * k + 1, 20)),
+            OPinv, k, M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
+            OPinv=OPinv, ncv=min(N - m, max(2 * k + 1, 20)),
         )
     except spla.ArpackError as exc:
         raise SolverError("eigensolver failed: %s" % exc) from None

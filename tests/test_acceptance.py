@@ -29,6 +29,7 @@ from overlapfem import (
     submesh,
     thin_constraints,
 )
+from overlapfem import harness
 from overlapfem.solver import coupling_for_mode
 
 DATA = Path(__file__).parent / "data"
@@ -166,6 +167,44 @@ class TestThreeSegments:
         assert np.abs(report.u - x * (1 - x) / 2).max() <= 1e-12
         assert len(report.constraints) == 6 and report.path == "saddle_qd"
         assert len(thin_constraints(report.constraints)) == 4
+
+
+def three_annuli(m):
+    """The annulus2d_poisson problem on three annuli, with the circles r = 1
+    (A) and r = 2 (B) pinned to 0. All three have ring spacing 1/(8m), so
+    every circle lies on a ring line of every mesh that contains it, and
+    [5/4, 13/8] is covered three times."""
+    n_t = 72 * m
+    a = generate_annulus(1.0, 13.0 / 8.0, 5 * m, n_t)
+    b = generate_annulus(5.0 / 4.0, 2.0, 6 * m, n_t, np.pi / n_t)
+    c = generate_annulus(9.0 / 8.0, 15.0 / 8.0, 6 * m, n_t, np.pi / (2 * n_t))
+    pins = [(0, v, 0.0) for v in range(n_t)]
+    pins += [(1, v, 0.0) for v in range(b.num_vertices - n_t, b.num_vertices)]
+    scenario = build_scenario(ExperimentConfig("annulus2d_poisson"), m)
+    return DeconstructedDomain([a, b, c], pins), scenario.f, scenario.reference
+
+
+class TestThreeAnnuli:
+    @staticmethod
+    def sweep(mode, resolutions):
+        h, errors = [], []
+        for m in resolutions:
+            domain, f, reference = three_annuli(m)
+            report = solve_poisson(domain, QuadratureSpec.barycenter(), mode, rhs=f)
+            h.append(max(harness.max_circumradius(mesh) for mesh in domain.subdomains))
+            errors.append(np.abs(report.u - reference(domain.stacked_vertices())).max())
+        return np.array(h), np.array(errors)
+
+    def test_boundary_only_second_order(self):
+        # Measured: 8.07e-4, 1.93e-4 and 4.74e-5, orders 2.06 and 2.03.
+        h, errors = self.sweep("boundary_only", (1, 2, 4))
+        orders = np.log(errors[:-1] / errors[1:]) / np.log(h[:-1] / h[1:])
+        assert orders.min() >= 1.8
+
+    def test_all_vertices_stagnates(self):
+        # Measured: 7.16e-2 and 7.19e-2. At m = 1 the solve is infeasible.
+        _, errors = self.sweep("all_vertices", (2, 4))
+        assert errors[1] >= 0.9 * errors[0]
 
 
 class TestBilaplaceCouplings:
@@ -368,7 +407,7 @@ class TestEigenmodeAgreement:
         lower = submesh(parent_b, np.nonzero(cent_b[:, 1] <= 0.15)[0])
 
         def first_modes(domain, mode):
-            L, M, _ = assemble_global(domain, QUAD)
+            L, M = assemble_global(domain, QUAD)
             _, A = coupling_for_mode(domain, mode)
             return np.array([v for v, _ in constrained_modes(L, M, A, 10)])
 

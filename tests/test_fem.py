@@ -173,9 +173,9 @@ class TestAssembly:
         a = generate_segment(0.0, 0.7, 6)
         b = generate_segment(0.3, 1.0, 5)
         dom = DeconstructedDomain([a, b])
-        L, M, offsets = assemble_global(dom, QuadratureSpec.corner_average())
+        L, M = assemble_global(dom, QuadratureSpec.corner_average())
         assert L.shape == (11, 11)
-        np.testing.assert_array_equal(offsets, [0, 6, 11])
+        np.testing.assert_array_equal(dom.offsets, [0, 6, 11])
         # off-diagonal blocks are empty
         assert abs(L[:6, 6:]).sum() == 0
         assert np.abs(L @ np.ones(11)).max() < 1e-12

@@ -71,6 +71,14 @@ class TestParseConfig:
         )
         assert cfg.quadrature == QuadratureSpec.monte_carlo(64, 9)
 
+    def test_quadrature_sub_keys_default_to_the_spec(self):
+        for scheme, spec in [("symmetric", QuadratureSpec("symmetric_fixed_order")),
+                             ("monte_carlo", QuadratureSpec("monte_carlo"))]:
+            cfg = parse_config("scenario = seg1d_poisson\nquadrature = %s\n" % scheme)
+            assert cfg.quadrature == spec
+        cfg = parse_config("scenario = seg1d_poisson\nquadrature = monte_carlo\nseed = 3\n")
+        assert cfg.quadrature == QuadratureSpec.monte_carlo(100, 3)
+
     def test_penalty_and_modes_keys(self):
         cfg = parse_config(
             "scenario = seg1d_poisson\npenalty_weights = 0.1,1,10\nnum_modes = 6\n"
@@ -552,3 +560,45 @@ class TestCli:
         assert main(["modes", str(cfg)]) == 0
         cfg.write_text(config + "num_modes = 10\n")
         assert main(["modes", str(cfg)]) == 2
+
+
+class TestCliExitCodes:
+    @staticmethod
+    def two_segments(tmp_path, extra):
+        # 12 vertices and 2 boundary-only rows leave 10 degrees of freedom.
+        for name, (a, b) in {"a": (0.0, 0.7), "b": (0.3, 1.0)}.items():
+            (tmp_path / (name + ".dmesh")).write_text(save_mesh(generate_segment(a, b, 6)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n" + extra)
+        return cfg
+
+    @pytest.mark.parametrize("num_modes", [10, 11])
+    def test_modes_beyond_free_dimension(self, tmp_path, capsys, num_modes):
+        cfg = self.two_segments(tmp_path, "num_modes = %d\n" % num_modes)
+        assert main(["modes", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("solver failure:")
+
+    def test_converge_writes_its_table_before_every_resolution_failed(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 20,40,80\n")
+        monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
+        assert main(["converge", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        header, *rows = captured.out.splitlines()
+        assert header == CONVERGENCE_HEADER and len(rows) == 3
+        assert all(row.endswith("failed: substitution_cg did not converge in 1 iterations")
+                   for row in rows)
+        assert captured.err == "solver failure: every resolution failed\n"
+
+    def test_converge_prints_the_penalty_table_after_its_own(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\npenalty_weights = 0.1,10\n")
+        assert main(["converge", str(cfg)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == CONVERGENCE_HEADER and len(lines) == 6
+        assert lines[3] == "omega,error_linf"
+        assert [float(line.split(",")[0]) for line in lines[4:]] == [0.1, 10.0]
