@@ -57,7 +57,7 @@ class ConstraintSet:
 def _pair_constraints(domain, targets_per_subdomain, mode):
     """Rows for a, then b != a, then the targets of a in the given order."""
     pinned = np.zeros(domain.total_vertices, dtype=bool)
-    pinned[[domain.global_index(s, v) for s, v, _ in domain.dirichlet]] = True
+    pinned[[g for g, _ in domain.global_pins(domain.dirichlet)]] = True
     d1 = domain.dim + 1
     blocks = [(np.empty((0, 2), int), np.empty((0, 2), int),
                np.empty((0, d1), int), np.empty((0, d1)))]
@@ -124,8 +124,8 @@ def thin_constraints(cs):
     return cs.take(order[first], BOUNDARY_ONLY_THINNED)
 
 
-def constraint_matrix(cs, offsets, N):
-    """Materialize rows as a sparse (m, N) matrix: +1 at targets, -coeffs at anchors."""
+def constraint_matrix(cs, offsets):
+    """Materialize rows as a sparse (m, offsets[-1]) matrix: +1 at targets, -coeffs at anchors."""
     offsets = np.asarray(offsets, dtype=np.int64)
     cols = np.column_stack([
         offsets[cs.target[:, 0]] + cs.target[:, 1],
@@ -133,7 +133,7 @@ def constraint_matrix(cs, offsets, N):
     ])
     vals = np.column_stack([np.ones(len(cs)), -cs.coefficients])
     rows = np.repeat(np.arange(len(cs)), cols.shape[1])
-    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(len(cs), N))
+    return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(len(cs), int(offsets[-1])))
 
 
 def constraints_to_csv(cs):

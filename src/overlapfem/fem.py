@@ -39,6 +39,8 @@ class QuadratureSpec:
             raise ValueError("unknown quadrature scheme %r" % (self.scheme,))
         if self.scheme == "symmetric_fixed_order" and self.n_points not in (1, 4, 10):
             raise ValueError("symmetric rule supports 1, 4 or 10 points")
+        if self.scheme == "monte_carlo" and not (self.samples_per_element >= 1 and self.seed >= 0):
+            raise ValueError("monte_carlo needs samples_per_element >= 1 and seed >= 0")
 
     @classmethod
     def corner_average(cls):

@@ -20,7 +20,6 @@ from .solver import (
     BILAPLACE_COUPLINGS,
     COUPLING_MODES,
     SolverError,
-    _dirichlet_fixed,
     constrained_modes,
     coupling_for_mode,
     solve_bilaplace,
@@ -557,7 +556,7 @@ def run_penalty_sweep(config):
     L, M = assemble_global(domain, config.quadrature)
     _, C = coupling_for_mode(domain, config.coupling)
     b = M @ np.full(domain.total_vertices, scenario.f)
-    fixed = _dirichlet_fixed(domain)
+    fixed = domain.global_pins(domain.dirichlet)
     rows = []
     for omega in config.penalty_weights:
         Q = L + 2.0 * float(omega) * (C.T @ C)

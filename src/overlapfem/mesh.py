@@ -221,6 +221,10 @@ class DeconstructedDomain:
     def global_index(self, sub, vert):
         return int(self.offsets[sub]) + int(vert)
 
+    def global_pins(self, triples):
+        """(global index, value) of each (subdomain, vertex, value) triple, as in ``dirichlet``."""
+        return [(self.global_index(s, v), float(val)) for s, v, val in triples]
+
     def stacked_vertices(self):
         """All subdomain vertex coordinates stacked in global order, shape (N, d)."""
         return np.vstack([m.vertices for m in self.subdomains])

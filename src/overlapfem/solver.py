@@ -296,12 +296,11 @@ def coupling_for_mode(domain, mode):
     """Constraint set and materialized matrix for a coupling mode."""
     if mode not in COUPLING_MODES:
         raise ValueError("unknown coupling mode %r" % (mode,))
-    N = domain.total_vertices
     if mode == "none":
-        return None, sp.csr_matrix((0, N))
+        return None, sp.csr_matrix((0, domain.total_vertices))
     build = all_vertex_constraints if mode == ALL_VERTICES else boundary_only_constraints
     cs = build(domain)
-    return cs, constraint_matrix(cs, domain.offsets, N)
+    return cs, constraint_matrix(cs, domain.offsets)
 
 
 def _load_vector(domain, rhs):
@@ -314,13 +313,6 @@ def _load_vector(domain, rhs):
     return rhs
 
 
-def _dirichlet_fixed(domain):
-    if not domain.dirichlet:
-        return []
-    sub, vert, val = (np.array(column) for column in zip(*domain.dirichlet))
-    return list(zip((domain.offsets[sub] + vert).tolist(), val.tolist()))
-
-
 def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     """Minimize the form L, or M + alpha L, against load M rhs, coupled by
     ``mode``, with the domain's Dirichlet values, by :func:`_substitution_core`.
@@ -329,7 +321,8 @@ def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
     Q = L if alpha is None else M + alpha * L
-    report = _constrained_solve(Q, M @ f, Amat, None, _dirichlet_fixed(domain), _substitution_core)
+    fixed = domain.global_pins(domain.dirichlet)
+    report = _constrained_solve(Q, M @ f, Amat, None, fixed, _substitution_core)
     return replace(report, offsets=domain.offsets, constraints=cs)
 
 
@@ -371,6 +364,15 @@ def _low_order_rows(domain, cs):
     return sp.csr_matrix((vals.ravel(), (rows, cols.ravel())), shape=(len(cs), len(x)))
 
 
+def _bilaplace_setup(domain, quad, load):
+    """What both bi-Laplace solvers start from: -L, M, the load vector M f, the
+    boundary-only set, the indices of its distinct rows and their matrix."""
+    L, M = assemble_global(domain, quad)
+    cs, Avalue = coupling_for_mode(domain, BOUNDARY_ONLY)
+    keep = _distinct_rows(Avalue)
+    return (-L).tocsr(), M, M @ _load_vector(domain, load), cs, keep, Avalue[keep]
+
+
 def solve_bilaplace(
     domain,
     quad,
@@ -389,38 +391,22 @@ def solve_bilaplace(
     """
     if coupling not in BILAPLACE_COUPLINGS:
         raise SolverError("unknown bi-Laplace coupling %r" % (coupling,))
-    L, M = assemble_global(domain, quad)
+    Lp, M, Mf, cs, keep, Avalue = _bilaplace_setup(domain, quad, load)
     N = domain.total_vertices
-    Lp = (-L).tocsr()
-    f = _load_vector(domain, load)
-
-    cs, Avalue = coupling_for_mode(domain, "boundary_only")
-    keep = _distinct_rows(Avalue)
-    Avalue = Avalue[keep]
-    dropped = len(cs) - len(keep)
+    Au, Az = Avalue, sp.csr_matrix((0, N))
     if coupling == "low_order":
-        Alo = _low_order_rows(domain, cs.take(keep))
-        Au = sp.vstack([Avalue, Alo], format="csr")
-        Az = sp.csr_matrix((0, N))
+        Au = sp.vstack([Avalue, _low_order_rows(domain, cs.take(keep))], format="csr")
     elif coupling == "high_order":
-        Au = Avalue
-        Az = Avalue.copy()
-    else:
-        Au = Avalue
-        Az = sp.csr_matrix((0, N))
-    mu = Au.shape[0]
+        Az = Avalue
 
     core = sp.bmat([[None, Lp.T], [Lp, -M]])
-    rhs = np.concatenate([M @ f, np.zeros(N)])
-    fixed = _dirichlet_fixed(domain)
-    if dirichlet_laplacians:
-        fixed = fixed + [
-            (N + domain.global_index(s, v), val) for s, v, val in dirichlet_laplacians
-        ]
+    rhs = np.concatenate([Mf, np.zeros(N)])
+    fixed = domain.global_pins(domain.dirichlet)
+    fixed += [(N + g, val) for g, val in domain.global_pins(dirichlet_laplacians or ())]
     inner = solve_kkt(core, rhs, sp.block_diag([Au, Az]), fixed=fixed)
     return replace(
         inner, u=inner.u[:N], z=inner.u[N:], offsets=domain.offsets, constraints=cs,
-        multipliers=inner.multipliers[:mu], dropped_rows=dropped,
+        multipliers=inner.multipliers[: Au.shape[0]], dropped_rows=len(cs) - len(keep),
     )
 
 
@@ -433,14 +419,9 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     elimination done by :func:`solve_bilaplace`, so the two solvers agree on
     shared configurations.
     """
-    L, M = assemble_global(domain, quad)
-    N = domain.total_vertices
-    Lp = (-L).tocsr()
-    f = _load_vector(domain, load)
-
-    cs, Avalue = coupling_for_mode(domain, "boundary_only")
     # Avalue^T is the lam_z block: dependent rows leave lam_z free, which -eps I cannot repair.
-    Avalue = Avalue[_distinct_rows(Avalue)]
+    Lp, M, Mf, cs, _, Avalue = _bilaplace_setup(domain, quad, load)
+    N = domain.total_vertices
     m = Avalue.shape[0]
 
     mdiag = M.diagonal()
@@ -451,8 +432,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
 
     z_fixed = np.zeros(N)
     z_free = np.ones(N, dtype=bool)
-    for s, v, val in dirichlet_laplacians or ():
-        g = domain.global_index(s, v)
+    for g, val in domain.global_pins(dirichlet_laplacians or ()):
         z_fixed[g] = val
         z_free[g] = False
     nu = int(z_free.sum())
@@ -460,7 +440,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
 
     # Variables: (u, lam_z, y over free-z rows).
     # Objective ||y||^2 - 2 (M f - Lp^T[:, pinned] z_pinned)^T u up to a constant.
-    b_u = 2.0 * (M @ f - Lp.T[:, ~z_free] @ z_fixed[~z_free])
+    b_u = 2.0 * (Mf - Lp.T[:, ~z_free] @ z_fixed[~z_free])
     Q = sp.block_diag(
         [sp.csr_matrix((N, N)), sp.csr_matrix((m, m)), 2.0 * sp.eye(nu)], format="csr"
     )
@@ -469,8 +449,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     bottom = sp.hstack([Lp[z_free], Avalue.T[z_free], -Msqrt_u])
     A = sp.vstack([top, bottom], format="csr")
     c = np.zeros(m + nu)
-    fixed = _dirichlet_fixed(domain)
-    inner = solve_kkt(Q, b, A, c, fixed=fixed)
+    inner = solve_kkt(Q, b, A, c, fixed=domain.global_pins(domain.dirichlet))
 
     z = z_fixed.copy()
     z[z_free] = inner.u[N + m :] / np.sqrt(mdiag[z_free])

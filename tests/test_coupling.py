@@ -26,7 +26,7 @@ def segment_pair(n=9):
 
 
 def matrix_of(dom, cs):
-    return constraint_matrix(cs, dom.offsets, dom.total_vertices)
+    return constraint_matrix(cs, dom.offsets)
 
 
 class TestConstraintConstruction:

@@ -38,6 +38,10 @@ class TestQuadratureSpec:
         with pytest.raises(ValueError):
             QuadratureSpec("midpoint")
 
+    def test_monte_carlo_has_no_fixed_rule(self):
+        with pytest.raises(ValueError, match="monte_carlo has no fixed rule"):
+            quadrature_rule(QuadratureSpec.monte_carlo(), 2)
+
     def test_symmetric_point_counts(self):
         with pytest.raises(ValueError):
             QuadratureSpec.symmetric(7)
@@ -168,6 +172,12 @@ class TestAssembly:
         mesh = generate_segment(0.0, 1.0, 4)
         with pytest.raises(ValueError):
             stiffness_matrix(mesh, np.array([1.0, -1.0, 1.0]))
+
+    @pytest.mark.parametrize("assemble", [stiffness_matrix, lumped_mass_matrix])
+    def test_wrong_volume_count_rejected(self, assemble):
+        mesh = generate_segment(0.0, 1.0, 4)
+        with pytest.raises(ValueError, match="adjusted volumes have wrong length"):
+            assemble(mesh, np.ones(mesh.num_simplices - 1))
 
     def test_global_blocks(self):
         a = generate_segment(0.0, 0.7, 6)

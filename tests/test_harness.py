@@ -594,6 +594,31 @@ class TestCliExitCodes:
                    for row in rows)
         assert captured.err == "solver failure: every resolution failed\n"
 
+    @pytest.mark.parametrize(
+        "keys", ["samples_per_element = 0", "samples_per_element = -3", "seed = -1"]
+    )
+    def test_bad_monte_carlo_parameters_are_config_errors(self, tmp_path, capsys, keys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\n"
+                       "quadrature = monte_carlo\n%s\n" % keys)
+        assert main(["converge", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "config error: monte_carlo needs samples_per_element >= 1 and seed >= 0\n"
+        )
+
+    def test_probe_without_overlap_is_a_config_error(self, tmp_path, capsys):
+        for name, (a, b) in {"a": (0.0, 0.4), "b": (0.6, 1.0)}.items():
+            (tmp_path / (name + ".dmesh")).write_text(save_mesh(generate_segment(a, b, 6)))
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n"
+                       "dirichlet = 0:0:0.0,1:5:0.0\n")
+        assert main(["probe", str(cfg)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: scenario has no overlap vertices to probe\n"
+
     def test_converge_prints_the_penalty_table_after_its_own(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("scenario = seg1d_poisson\nresolutions = 10,20\npenalty_weights = 0.1,10\n")

@@ -70,6 +70,22 @@ class TestSimplicialMesh:
         with pytest.raises(MeshError):
             SimplicialMesh(1, verts, np.array([[0, 2]]))
 
+    @pytest.mark.parametrize(
+        "dim, vertices, simplices, message",
+        [
+            (4, [[0.0] * 4] * 5, [[0, 1, 2, 3, 4]], "dim must be 1, 2 or 3"),
+            (2, [[0.0, 0.0, 0.0]] * 3, [[0, 1, 2]], r"vertices must have shape \(n, 2\)"),
+            (2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], [[0, 1]],
+             r"simplices must have shape \(t, 3\)"),
+            (1, [[0.0], [1.0]], np.empty((0, 2), dtype=int), "mesh has no simplices"),
+            (1, [[0.0], [1.0], [2.0]], [[0, 1]], "vertex 2 is not referenced by any simplex"),
+        ],
+        ids=["dim", "vertex_shape", "simplex_shape", "no_simplices", "unreferenced_vertex"],
+    )
+    def test_malformed_arrays_rejected(self, dim, vertices, simplices, message):
+        with pytest.raises(MeshError, match=message):
+            SimplicialMesh(dim, np.array(vertices), np.array(simplices))
+
 
 class TestGenerators:
     def test_segment_measures_sum_to_length(self):
@@ -112,6 +128,25 @@ class TestGenerators:
     def test_disk_center_offset(self):
         mesh = generate_disk(1.0, 2, 8, center=(3.0, -1.0))
         assert np.allclose(mesh.vertices.mean(axis=0), [3.0, -1.0], atol=0.2)
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: generate_segment(0.0, 1.0, 1), "at least 2 vertices"),
+            (lambda: generate_segment(1.0, 1.0, 5), "need a < b"),
+            (lambda: generate_annulus(2.0, 1.0, 2, 8), "need 0 < r_in < r_out"),
+            (lambda: generate_annulus(1.0, 2.0, 0, 8), "need n_r >= 1 and n_t >= 3"),
+            (lambda: generate_annulus(1.0, 2.0, 2, 2), "need n_r >= 1 and n_t >= 3"),
+            (lambda: generate_disk(0.0, 2, 8), "radius must be positive"),
+            (lambda: generate_disk(1.0, 2, 2), "need n_r >= 1 and n_t >= 3"),
+            (lambda: submesh(generate_disk(1.0, 2, 8), []), "submesh selection is empty"),
+        ],
+        ids=["segment_n", "segment_order", "annulus_radii", "annulus_n_r", "annulus_n_t",
+             "disk_radius", "disk_n_t", "submesh_empty"],
+    )
+    def test_bad_arguments_rejected(self, make, message):
+        with pytest.raises(MeshError, match=message):
+            make()
 
 
 class TestBoundaryFacets:
@@ -227,6 +262,32 @@ class TestDmeshFormat:
         with pytest.raises(MeshError):
             load_mesh("DIM 1\nVERTICES 2\n0\n1\nSIMPLICES 1\n0 5\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("DIM 1\nVERTICES 2\n0\n1\nSIMPLICES 1\n0\n", "line 6: unexpected end of file"),
+            ("DIM 0\nVERTICES 2\n0\n1\nSIMPLICES 1\n0 1\n", "line 1: DIM must be >= 1, got 0"),
+            ("DIM 1\nVERTICES 0\nSIMPLICES 1\n0 1\n", "line 2: vertex count must be >= 1, got 0"),
+        ],
+        ids=["end_of_file", "dim", "vertex_count"],
+    )
+    def test_token_parser_errors(self, text, message):
+        with pytest.raises(ParseError, match=message):
+            load_mesh(text)
+
+    def test_comments_are_ignored(self):
+        plain = save_mesh(generate_disk(1.0, 2, 5))
+        lines = plain.splitlines()
+        simplices = next(i for i, line in enumerate(lines) if line.startswith("SIMPLICES"))
+        lines[0] += "  # header line"
+        lines[2] += " # inside the vertex block"
+        lines.insert(simplices + 2, "# inside the simplex block")
+        commented = "\n".join(lines) + "\n"
+        mesh, again = load_mesh(plain), load_mesh(commented)
+        assert again.dim == mesh.dim
+        np.testing.assert_array_equal(again.vertices, mesh.vertices)
+        np.testing.assert_array_equal(again.simplices, mesh.simplices)
+
 
 class TestDeconstructedDomain:
     def test_offsets_and_global_index(self):
@@ -237,6 +298,10 @@ class TestDeconstructedDomain:
         assert dom.total_vertices == 10
         assert dom.global_index(1, 2) == 6
         assert dom.stacked_vertices().shape == (10, 1)
+
+    def test_no_subdomains_rejected(self):
+        with pytest.raises(MeshError, match="at least one subdomain"):
+            DeconstructedDomain([])
 
     def test_mixed_dimensions_rejected(self):
         with pytest.raises(MeshError):

@@ -56,6 +56,11 @@ class TestSolveKkt:
         with pytest.raises(SolverError):
             solve_kkt(sp.eye(2), fixed=[(0, 1.0), (0, 2.0)])
 
+    @pytest.mark.parametrize("index", [-1, 2])
+    def test_fixed_index_out_of_range_rejected(self, index):
+        with pytest.raises(SolverError, match="fixed index out of range"):
+            solve_kkt(sp.eye(2), fixed=[(index, 1.0)])
+
     def test_redundant_consistent_rows_are_tolerated(self):
         Q = sp.diags([2.0, 2.0])
         b = np.array([2.0, 4.0])
@@ -163,6 +168,12 @@ class TestPoisson:
         assert np.abs(rep.u - s * (1 - s) / 2).max() < 2e-4
         assert rep.constraint_residual < 1e-10
 
+    @pytest.mark.parametrize("solve", [solve_poisson, solve_bilaplace, solve_bilaplace_convex])
+    def test_per_vertex_load_of_wrong_length_rejected(self, solve):
+        dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)], [(0, 0, 0.0), (0, 4, 0.0)])
+        with pytest.raises(ValueError, match="per-vertex load must have length 5"):
+            solve(dom, QUAD, **{"rhs" if solve is solve_poisson else "load": np.ones(4)})
+
     def test_unknown_mode_rejected(self):
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
         with pytest.raises(ValueError):
@@ -231,6 +242,23 @@ class TestBilaplace:
         with pytest.raises(SolverError):
             solve_bilaplace(dom, QUAD, "medium_order")
 
+    def test_convex_solver_rejects_a_zero_mass_entry(self, monkeypatch):
+        # Adjusted volumes are positive and every vertex lies in a simplex, so
+        # assembly cannot give a zero lumped mass; this check is reached here
+        # only by zeroing one entry of the assembled mass.
+        assemble = solver.assemble_global
+
+        def zero_mass_at_vertex_3(domain, quad):
+            L, M = assemble(domain, quad)
+            diagonal = M.diagonal()
+            diagonal[3] = 0.0
+            return L, sp.diags(diagonal, format="csr")
+
+        monkeypatch.setattr(solver, "assemble_global", zero_mass_at_vertex_3)
+        dom, z_pins = self.quartic_domain(10)
+        with pytest.raises(SolverError, match="zero mass entry at vertex 3"):
+            solve_bilaplace_convex(dom, QUAD, z_pins, load=24.0)
+
     def test_convex_solver_agrees(self):
         dom, z_pins = self.quartic_domain(30)
         kkt = solve_bilaplace(dom, QUAD, "high_order", z_pins, load=24.0)
@@ -277,6 +305,15 @@ class TestConstrainedModes:
         for k in (3, 10):
             with pytest.raises(SolverError):
                 constrained_modes(L, M, A, k)
+
+    def test_eigensolver_failure_is_a_solver_error(self, monkeypatch):
+        # One restart is too few for 10 modes of 400 vertices: ARPACK stops unconverged.
+        dom = DeconstructedDomain([generate_segment(0.0, 1.0, 400)])
+        L, M = assemble_global(dom, QUAD)
+        eigsh = solver.spla.eigsh
+        monkeypatch.setattr(solver.spla, "eigsh", lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
+        with pytest.raises(SolverError, match="eigensolver failed"):
+            constrained_modes(L, M, None, 10)
 
     @staticmethod
     def scaled_annulus_modes(s):
@@ -339,7 +376,7 @@ def saddle_reference(domain, mode, form, rhs):
     """solve_kkt on the same form, load, rows and pins: the saddle factorization's answer."""
     L, M = assemble_global(domain, QUAD)
     _, A = coupling_for_mode(domain, mode)
-    return solve_kkt(form(L, M), M @ rhs, A, fixed=solver._dirichlet_fixed(domain))
+    return solve_kkt(form(L, M), M @ rhs, A, fixed=domain.global_pins(domain.dirichlet))
 
 
 def assert_close(u, reference):
@@ -540,7 +577,7 @@ def annulus_saddle(m):
     report = solve_poisson(domain, QUAD, "all_vertices")
     L, M = assemble_global(domain, QUAD)
     _, A = coupling_for_mode(domain, "all_vertices")
-    pinned, values = (np.array(column) for column in zip(*solver._dirichlet_fixed(domain)))
+    pinned, values = (np.array(column) for column in zip(*domain.global_pins(domain.dirichlet)))
     pinned = pinned.astype(int)
     free = np.ones(domain.total_vertices, dtype=bool)
     free[pinned] = False
