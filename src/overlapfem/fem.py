@@ -22,6 +22,9 @@ __all__ = [
 # interior side of any coverage discontinuity.
 _INWARD_NUDGE = 1e-6
 
+# Monte Carlo samples are drawn and counted about this many at a time.
+_SAMPLE_BLOCK = 1 << 17
+
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -145,21 +148,23 @@ def adjusted_volumes(domain, k, quad):
     once without a query; only the other subdomains are searched.
     """
     mesh = domain.subdomains[k]
-    measures = mesh.measures
-    t = mesh.num_simplices
-    d = mesh.dim
+    t, d = mesh.num_simplices, mesh.dim
     if quad.scheme == "monte_carlo":
+        # Drawn, placed and counted a block of elements at a time: the blocked
+        # draws from one generator equal one (t, s) draw, and memory stays bounded.
         rng = np.random.default_rng(quad.seed)
         s = quad.samples_per_element
-        bary = rng.dirichlet(np.ones(d + 1), size=(t, s))  # (t, s, d+1)
-        pts = np.einsum("tsj,tjd->tsd", bary, mesh.vertices[mesh.simplices])
-        cov = 1 + other_coverage_counts(domain, k, pts.reshape(t * s, d)).reshape(t, s)
-        return measures * (1.0 / cov).mean(axis=1)
+        mean_inverse = np.empty(t)  # each element's mean of 1/coverage
+        step = max(1, _SAMPLE_BLOCK // s)
+        for start in range(0, t, step):
+            block = slice(start, min(start + step, t))
+            bary = rng.dirichlet(np.ones(d + 1), size=(block.stop - start, s))  # (m, s, d+1)
+            pts = np.einsum("tsj,tjd->tsd", bary, mesh.vertices[mesh.simplices[block]])
+            mean_inverse[block] = (1.0 / (1 + other_coverage_counts(domain, k, pts))).mean(axis=1)
+        return mesh.measures * mean_inverse
     weights, bary = quadrature_rule(quad, d)
-    pts = _element_points(mesh, bary)  # (t, q, d)
-    q = len(weights)
-    cov = 1 + other_coverage_counts(domain, k, pts.reshape(t * q, d)).reshape(t, q)
-    return measures * ((1.0 / cov) @ weights)
+    cov = 1 + other_coverage_counts(domain, k, _element_points(mesh, bary))  # (t, q)
+    return mesh.measures * ((1.0 / cov) @ weights)
 
 
 def stiffness_matrix(mesh, a):

@@ -15,9 +15,12 @@ __all__ = [
 # the slack is the same whatever the element size.
 CONTAINMENT_TOL = 1e-10
 
-# Candidate pairs are gathered this many at a time, which bounds the memory
-# held while they are filtered and their coordinates computed.
+# Candidate pairs are gathered this many at a time, and the pairs that pass
+# their box filter are checked a fraction of that many at a time (a checked
+# pair holds about four times a candidate pair's bytes). This bounds the
+# memory held while candidates are filtered and coordinates computed.
 _BLOCK_PAIRS = 1 << 17
+_BLOCK_CHECKS = _BLOCK_PAIRS // 8
 
 
 def simplex_coordinates(mesh, points, simplices):
@@ -123,6 +126,18 @@ class PointLocator:
         return pi, si
 
 
+def _contained(mesh, points, simplices):
+    """Whether each point passes the containment check in its paired simplex."""
+    ok = np.ones(len(points), dtype=bool)
+    for start in range(0, len(points), _BLOCK_CHECKS):
+        part = slice(start, start + _BLOCK_CHECKS)
+        coords, block_ok = simplex_coordinates(mesh, points[part], simplices[part]), ok[part]
+        for column in coords.T:  # faster than a row-wise min
+            block_ok &= column >= -CONTAINMENT_TOL
+        del coords, column  # freed before the next block's are made
+    return ok
+
+
 def locate_points(tree, points):
     """Index of a simplex of ``tree.mesh`` containing each point (closed
     containment, lowest index wins; -1 where none)."""
@@ -133,10 +148,7 @@ def locate_points(tree, points):
     for start, stop in zip(edges[:-1], edges[1:]):
         pi, si = tree.candidates(points[start:stop])
         pi += start
-        ok = np.ones(len(pi), dtype=bool)
-        coords = simplex_coordinates(tree.mesh, points[pi], si)
-        for column in coords.T:  # faster than a row-wise min
-            ok &= column >= -CONTAINMENT_TOL
+        ok = _contained(tree.mesh, points[pi], si)
         pi, si = pi[ok], si[ok]
         first = np.diff(pi, prepend=-1) > 0  # by point, then simplex: the lowest index
         found[pi[first]] = si[first]
@@ -153,13 +165,36 @@ def brute_force_locate(mesh, p):
 
 
 def other_coverage_counts(domain, k, points):
-    """Number of subdomains other than ``k`` (None: any) whose mesh contains each point."""
+    """Number of subdomains other than ``k`` (None: any) whose mesh contains
+    each point: (n, d) points give (n,) counts, and (t, q, d) points, q per
+    element, give (t, q) counts.
+
+    With q > 1, each element's q points are searched once, at their mean
+    (jump-and-walk's start from a nearby located simplex; Muecke, Saias & Zhu
+    1996), and each point is checked against the simplex found. A point that
+    passes would be located by a search too, so only the points that fail,
+    or whose element found no simplex, get a search of their own; the counts
+    equal those of one search per point.
+    """
     points = np.asarray(points, dtype=float)
-    counts = np.zeros(len(points), dtype=np.int64)
+    grouped = points[:, None] if points.ndim == 2 else points
+    t, q, d = grouped.shape
+    counts = np.zeros((t, q), dtype=np.int64)
     for b, tree in enumerate(domain.locators):
-        if b != k:
-            counts += locate_points(tree, points) >= 0
-    return counts
+        if b == k:
+            continue
+        if q == 1:
+            counts[:, 0] += locate_points(tree, grouped[:, 0]) >= 0
+            continue
+        found = locate_points(tree, grouped.mean(axis=1))
+        hit = np.flatnonzero(found >= 0)
+        inside = np.zeros((t, q), dtype=bool)
+        inside[hit] = _contained(tree.mesh, grouped[hit].reshape(-1, d),
+                                 np.repeat(found[hit], q)).reshape(-1, q)
+        rest = ~inside
+        inside[rest] = locate_points(tree, grouped[rest]) >= 0
+        counts += inside
+    return counts.reshape(points.shape[:-1])
 
 
 def build_trees(domain):

@@ -606,11 +606,9 @@ def run_solve(config):
 
 def solution_csv(domain, report):
     """Solution dump: ``subdomain,vertex,x[,y[,z]],u`` per vertex."""
-
-    def rows():
-        for s, mesh in enumerate(domain.subdomains):
-            u = report.subdomain_values(s)
-            for v in range(mesh.num_vertices):
-                yield ["%d" % s, "%d" % v, *("%.17g" % c for c in mesh.vertices[v]), "%.17g" % u[v]]
-
-    return _csv("subdomain,vertex," + ",".join("xyz"[: domain.dim]) + ",u", rows())
+    row = "%d,%d" + ",%.17g" * (domain.dim + 1)
+    lines = ["subdomain,vertex," + ",".join("xyz"[: domain.dim]) + ",u"]
+    for s, mesh in enumerate(domain.subdomains):
+        for v, (x, u) in enumerate(zip(mesh.vertices.tolist(), report.subdomain_values(s).tolist())):
+            lines.append(row % (s, v, *x, u))
+    return "\n".join(lines) + "\n"

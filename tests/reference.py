@@ -10,7 +10,7 @@ import scipy.sparse as sp
 
 from overlapfem import SimplicialMesh
 from overlapfem.fem import _hat_gradients
-from overlapfem.geometry import CONTAINMENT_TOL
+from overlapfem.geometry import CONTAINMENT_TOL, locate_points
 
 
 class GeometryError(ValueError):
@@ -123,14 +123,27 @@ def stiffness_matrix_coo(mesh, a):
     return L
 
 
-def kuhn_box(n):
-    """The unit cube cut into n^3 cells of six Kuhn tetrahedra each: the
-    benchmark's own mesh, from ``perfbench/boxmesh.py`` loaded by path."""
+def kuhn_box(n, x0=0.0):
+    """The cube [x0, x0 + 1] x [0, 1]^2 cut into n^3 cells of six Kuhn
+    tetrahedra each: the benchmark's own mesh, from ``perfbench/boxmesh.py``
+    loaded by path. Boxes whose x0 differ by multiples of 1/n (n a power of
+    two) share their grid points bit for bit."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "boxmesh.py"
     spec = importlib.util.spec_from_file_location("boxmesh", path)
     boxmesh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(boxmesh)
-    return SimplicialMesh(3, *boxmesh.cube_arrays(0, n))
+    return SimplicialMesh(3, *boxmesh.cube_arrays(x0, n))
+
+
+def other_coverage_counts_per_point(domain, k, points):
+    """Reference for ``geometry.other_coverage_counts``: one ``locate_points``
+    search per point in every subdomain other than ``k`` (None: any)."""
+    points = np.asarray(points, dtype=float)
+    counts = np.zeros(len(points), dtype=np.int64)
+    for b, tree in enumerate(domain.locators):
+        if b != k:
+            counts += locate_points(tree, points) >= 0
+    return counts
 
 
 def traced_transient(build):

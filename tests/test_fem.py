@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 from overlapfem import (
     DeconstructedDomain,
     QuadratureSpec,
+    SimplicialMesh,
     adjusted_volumes,
     assemble_global,
     generate_annulus,
@@ -19,9 +21,17 @@ from overlapfem import (
     lumped_mass_matrix,
     stiffness_matrix,
 )
-from overlapfem.fem import quadrature_rule
-from reference import gradient_matrix, kuhn_box, stiffness_matrix_coo, traced_transient
-from test_geometry import MESHES
+from overlapfem import fem, geometry
+from overlapfem.fem import _element_points, quadrature_rule
+from overlapfem.geometry import locate_points, other_coverage_counts
+from reference import (
+    gradient_matrix,
+    kuhn_box,
+    other_coverage_counts_per_point,
+    stiffness_matrix_coo,
+    traced_transient,
+)
+from test_geometry import MESHES, near_tolerance_points
 
 DATA = Path(__file__).parent / "data"
 
@@ -148,6 +158,125 @@ class TestAdjustedVolumes:
         ):
             total = sum(adjusted_volumes(dom, k, spec).sum() for k in range(copies))
             assert total == pytest.approx(measure, rel=1e-12)
+
+
+COVERAGE_RULES = (
+    QuadratureSpec.corner_average(),
+    QuadratureSpec.barycenter(),
+    QuadratureSpec.symmetric(4),
+    QuadratureSpec.symmetric(10),
+    QuadratureSpec.monte_carlo(8, 5),
+)
+
+
+@st.composite
+def coverage_domains(draw):
+    """Two or three subdomains: Kuhn boxes at x offsets that are multiples of
+    1/8, so the grids match where 1/8 is a multiple of 1/n and cut elements
+    otherwise; or a ``MESHES`` mesh and copies of it, each shifted by nothing
+    (the same grid) or by a fraction of the mesh's extent."""
+    count = draw(st.integers(2, 3))
+    if draw(st.booleans()):
+        n = draw(st.sampled_from([2, 4]))
+        return [kuhn_box(n, draw(st.sampled_from([0.0, 0.125, 0.25, 0.5]))) for _ in range(count)]
+    mesh = draw(MESHES)
+    extent = np.ptp(mesh.vertices, axis=0).max()
+    shifts = draw(st.lists(st.sampled_from([0.0, 0.1, 0.37]), min_size=count - 1,
+                           max_size=count - 1))
+    return [mesh] + [SimplicialMesh(mesh.dim, mesh.vertices + f * extent, mesh.simplices)
+                     for f in shifts]
+
+
+def element_groups_near_tolerance(mesh, rng):
+    """``near_tolerance_points`` of ``mesh`` grouped by its simplices, as
+    (t, d+1, d) arrays: the moved corners, and the moved facet midpoints."""
+    near = near_tolerance_points(mesh, rng)
+    corners, mids = near[: mesh.num_vertices], near[mesh.num_vertices:]
+    return [corners[mesh.simplices],
+            mids.reshape(mesh.dim + 1, mesh.num_simplices, mesh.dim).transpose(1, 0, 2)]
+
+
+class TestGroupedCoverage:
+    """``other_coverage_counts`` on (t, q, d) points: one search per element,
+    then a containment check of its q points against the simplex found."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(meshes=coverage_domains(), seed=st.integers(0, 2**32 - 1))
+    def test_counts_match_per_point_oracle(self, meshes, seed):
+        dom = DeconstructedDomain(meshes)
+        calls = []
+
+        def recorded(domain, k, points):
+            calls.append((k, points))
+            return other_coverage_counts(domain, k, points)
+
+        # The points each rule samples: nudged corners and interior points.
+        with mock.patch.object(fem, "other_coverage_counts", recorded):
+            for spec in COVERAGE_RULES:
+                for k in range(len(meshes)):
+                    adjusted_volumes(dom, k, spec)
+        # Points within a few CONTAINMENT_TOL of another mesh's facets.
+        rng = np.random.default_rng(seed)
+        for b, mesh in enumerate(meshes):
+            calls.extend((k, points) for points in element_groups_near_tolerance(mesh, rng)
+                         for k in range(len(meshes)) if k != b)
+        for k, points in calls:
+            counts = other_coverage_counts(dom, k, points)
+            assert counts.shape == points.shape[:-1]
+            expected = other_coverage_counts_per_point(dom, k, points.reshape(-1, dom.dim))
+            np.testing.assert_array_equal(counts.ravel(), expected)
+
+    def test_one_search_per_element_plus_failed_checks(self):
+        # Box 1 covers x >= 0.5 of box 0 with the same grid. There each element
+        # of box 0 lies in one element of box 1, and its nudged corners pass
+        # the check against it. The elements at x < 0.5 find no simplex, and
+        # their q corners are searched point by point.
+        a = kuhn_box(8)
+        dom = DeconstructedDomain([a, kuhn_box(8, 0.5)])
+        t, q = a.num_simplices, 4
+        outside = int((a.vertices[a.simplices].mean(axis=1)[:, 0] < 0.5).sum())
+        sizes = []
+
+        def counted(tree, points):
+            sizes.append(len(points))
+            return locate_points(tree, points)
+
+        with mock.patch.object(geometry, "locate_points", counted):
+            adjusted_volumes(dom, 0, QuadratureSpec.corner_average())
+            assert sizes == [t, q * outside]  # q t = 12,288 points before
+            sizes.clear()
+            # One point per element: one search each, never a second.
+            adjusted_volumes(dom, 0, QuadratureSpec.barycenter())
+            assert sizes == [t]
+
+    def test_grouped_transient_is_bounded(self):
+        # On the box pair above, the grouped count's transient is 1.8 MB
+        # (corner_average) and 2.8 MB (symmetric 10), against 3.9 and 4.5 MB
+        # for one locate_points search of every point.
+        a = kuhn_box(8)
+        dom = DeconstructedDomain([a, kuhn_box(8, 0.5)])
+        tree = dom.locators[1]
+        for spec in (QuadratureSpec.corner_average(), QuadratureSpec.symmetric(10)):
+            pts = _element_points(a, quadrature_rule(spec, 3)[1])
+            _, grouped = traced_transient(lambda: other_coverage_counts(dom, 0, pts))
+            _, per_point = traced_transient(lambda: locate_points(tree, pts.reshape(-1, 3)))
+            assert grouped <= per_point
+
+    def test_monte_carlo_blocks_equal_one_draw(self, monkeypatch):
+        a = generate_annulus(1.0, 1.6, 2, 12)
+        dom = DeconstructedDomain([a, generate_annulus(1.4, 2.0, 2, 12, 0.1)])
+        t, s = a.num_simplices, 30
+        spec = QuadratureSpec.monte_carlo(s, 7)
+        whole = adjusted_volumes(dom, 0, spec)
+        # One (t, s) draw, counted point by point.
+        bary = np.random.default_rng(7).dirichlet(np.ones(3), size=(t, s))
+        pts = np.einsum("tsj,tjd->tsd", bary, a.vertices[a.simplices]).reshape(-1, 2)
+        cov = 1 + other_coverage_counts_per_point(dom, 0, pts).reshape(t, s)
+        np.testing.assert_array_equal(whole, a.measures * (1.0 / cov).mean(axis=1))
+        # One element per block, then 29 and 19 elements.
+        for block in (s, 29 * s + 1):
+            monkeypatch.setattr(fem, "_SAMPLE_BLOCK", block)
+            np.testing.assert_array_equal(adjusted_volumes(dom, 0, spec), whole)
 
 
 class TestAssembly:

@@ -18,7 +18,9 @@ from overlapfem import (
     load_mesh,
 )
 from overlapfem.geometry import (
+    _BLOCK_CHECKS,
     CONTAINMENT_TOL,
+    _contained,
     brute_force_locate,
     locate_points,
     other_coverage_counts,
@@ -325,3 +327,15 @@ def test_locator_build_transient_is_bounded():
     kept = sum(getattr(tree, name).nbytes
                for name in ("lo", "hi", "bins", "bin_size", "bin_start"))
     assert transient <= 2.5 * kept
+
+
+def test_containment_check_transient_is_bounded():
+    # Pairs are checked _BLOCK_CHECKS at a time, so four blocks of pairs need
+    # no more memory at the peak than one.
+    mesh = kuhn_box(8)
+    n = 4 * _BLOCK_CHECKS
+    rng = np.random.default_rng(2)
+    pts, simplices = rng.random((n, 3)), rng.integers(0, mesh.num_simplices, n)
+    _, one = traced_transient(lambda: _contained(mesh, pts[:_BLOCK_CHECKS], simplices[:_BLOCK_CHECKS]))
+    _, four = traced_transient(lambda: _contained(mesh, pts, simplices))
+    assert four <= 1.05 * one
