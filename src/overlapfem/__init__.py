@@ -7,11 +7,9 @@ from .mesh import (
     SimplicialMesh,
     boundary_vertices,
     generate_annulus,
-    generate_disk,
     generate_segment,
     load_mesh,
     save_mesh,
-    submesh,
 )
 from .geometry import PointLocator, build_trees
 from .fem import (

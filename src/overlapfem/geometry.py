@@ -6,7 +6,6 @@ import numpy as np
 __all__ = [
     "PointLocator",
     "locate_points",
-    "brute_force_locate",
     "other_coverage_counts",
     "build_trees",
 ]
@@ -26,7 +25,7 @@ _BLOCK_CHECKS = _BLOCK_PAIRS // 8
 def simplex_coordinates(mesh, points, simplices):
     """Barycentric coordinates of each point in its paired simplex, from the
     cached ``edge_inverses``: the one containment formula (every coordinate
-    >= -CONTAINMENT_TOL), shared by location, coupling and the oracle."""
+    >= -CONTAINMENT_TOL), shared by location and coupling."""
     first = mesh.vertices[mesh.simplices[simplices, 0]]
     xi = np.einsum("mij,mj->mi", mesh.edge_inverses[simplices], points - first)
     return np.column_stack([1.0 - xi.sum(axis=1), xi])
@@ -153,15 +152,6 @@ def locate_points(tree, points):
         first = np.diff(pi, prepend=-1) > 0  # by point, then simplex: the lowest index
         found[pi[first]] = si[first]
     return found
-
-
-def brute_force_locate(mesh, p):
-    """Reference for :func:`locate_points` on one point: no grid, the
-    containment check on every simplex, and the first simplex in index order
-    that passes (-1 where none)."""
-    coords = simplex_coordinates(mesh, np.asarray(p, dtype=float), np.arange(mesh.num_simplices))
-    inside = np.flatnonzero((coords >= -CONTAINMENT_TOL).all(axis=1))
-    return int(inside[0]) if inside.size else -1
 
 
 def other_coverage_counts(domain, k, points):

@@ -43,6 +43,7 @@ __all__ = [
     "penalty_csv",
     "run_modes",
     "modes_csv",
+    "run_constraints",
     "run_solve",
     "solution_csv",
     "CONVERGENCE_HEADER",
@@ -399,8 +400,9 @@ def run_convergence(config):
     Returns one dict per resolution with keys ``h``, ``n_total``,
     ``error_linf``, ``observed_order``, ``constraint_rows`` and
     ``solve_status``. The observed order between consecutive rows is
-    log(e_prev / e_cur) / log(h_prev / h_cur); solver failures are recorded
-    in ``solve_status`` and the sweep continues.
+    log(e_prev / e_cur) / log(h_prev / h_cur) when both errors are positive
+    (else None); solver failures are recorded in ``solve_status`` and the
+    sweep continues.
     """
     rows = []
     prev = None
@@ -422,7 +424,7 @@ def run_convergence(config):
         else:
             row["constraint_rows"] = len(report.constraints or ())
             row["error_linf"] = _linf_error(scenario, report)
-            if prev is not None and row["error_linf"] > 0:
+            if prev is not None and prev["error_linf"] > 0 and row["error_linf"] > 0:
                 row["observed_order"] = math.log(
                     prev["error_linf"] / row["error_linf"]
                 ) / math.log(prev["h"] / h)

@@ -20,9 +20,6 @@ __all__ = [
     "save_mesh",
     "generate_segment",
     "generate_annulus",
-    "generate_disk",
-    "submesh",
-    "boundary_facets",
     "boundary_vertices",
 ]
 
@@ -152,11 +149,6 @@ def _boundary_facet_array(mesh):
     keys = facets @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
     _, first, counts = np.unique(keys, return_index=True, return_counts=True)
     return facets[first[counts == 1]]
-
-
-def boundary_facets(mesh):
-    """Facets (sorted d-tuples of vertex indices) incident to exactly one simplex."""
-    return [tuple(f) for f in _boundary_facet_array(mesh).tolist()]
 
 
 def boundary_vertices(mesh):
@@ -391,31 +383,3 @@ def generate_annulus(r_in, r_out, n_r, n_t, theta_offset=0.0):
     rr, tt = np.meshgrid(radii, theta, indexing="ij")
     vertices = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
     return SimplicialMesh(2, vertices, _polar_grid_triangles(n_r, n_t))
-
-
-def generate_disk(radius, n_r, n_t, theta_offset=0.0, center=(0.0, 0.0)):
-    """Structured triangulation of a disk: a center fan plus n_r-1 polar rings."""
-    if radius <= 0:
-        raise MeshError("radius must be positive")
-    if n_r < 1 or n_t < 3:
-        raise MeshError("need n_r >= 1 and n_t >= 3")
-    cx, cy = center
-    theta = theta_offset + 2 * np.pi * np.arange(n_t) / n_t
-    r = (radius * np.arange(1, n_r + 1) / n_r)[:, None]
-    rings = np.column_stack([(cx + r * np.cos(theta)).ravel(), (cy + r * np.sin(theta)).ravel()])
-    j = np.arange(n_t)
-    fan = np.column_stack([np.zeros(n_t, dtype=np.int64), 1 + j, 1 + (j + 1) % n_t])
-    tris = np.vstack([fan, 1 + _polar_grid_triangles(n_r - 1, n_t)])
-    return SimplicialMesh(2, np.vstack([[cx, cy], rings]), tris)
-
-
-def submesh(mesh, simplex_ids):
-    """Mesh restricted to the given simplices, with vertices reindexed."""
-    simplex_ids = np.asarray(simplex_ids, dtype=np.int64)
-    if simplex_ids.size == 0:
-        raise MeshError("submesh selection is empty")
-    keep = mesh.simplices[simplex_ids]
-    old = np.unique(keep)
-    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
-    remap[old] = np.arange(len(old))
-    return SimplicialMesh(mesh.dim, mesh.vertices[old], remap[keep])

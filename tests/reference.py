@@ -8,9 +8,10 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from overlapfem import SimplicialMesh
+from overlapfem import MeshError, SimplicialMesh
 from overlapfem.fem import _hat_gradients
-from overlapfem.geometry import CONTAINMENT_TOL, locate_points
+from overlapfem.geometry import CONTAINMENT_TOL, locate_points, simplex_coordinates
+from overlapfem.mesh import _boundary_facet_array, _polar_grid_triangles
 
 
 class GeometryError(ValueError):
@@ -34,6 +35,15 @@ def barycentric_coordinates(simplex_vertices, p):
         raise GeometryError("degenerate simplex in barycentric_coordinates") from None
 
 
+def brute_force_locate(mesh, p):
+    """Reference for :func:`locate_points` on one point: no grid, the
+    containment check on every simplex, and the first simplex in index order
+    that passes (-1 where none)."""
+    coords = simplex_coordinates(mesh, np.asarray(p, dtype=float), np.arange(mesh.num_simplices))
+    inside = np.flatnonzero((coords >= -CONTAINMENT_TOL).all(axis=1))
+    return int(inside[0]) if inside.size else -1
+
+
 def gradient_matrix(mesh):
     """Sparse per-element gradient operator, shape (d*t, n).
 
@@ -47,6 +57,11 @@ def gradient_matrix(mesh):
     return sp.csr_matrix(
         (g.ravel(), (rows.ravel(), cols.ravel())), shape=(d * t, mesh.num_vertices)
     )
+
+
+def boundary_facets(mesh):
+    """Facets (sorted d-tuples of vertex indices) incident to exactly one simplex."""
+    return [tuple(f) for f in _boundary_facet_array(mesh).tolist()]
 
 
 def bbox_diagonal(domain):
@@ -133,6 +148,34 @@ def kuhn_box(n, x0=0.0):
     boxmesh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(boxmesh)
     return SimplicialMesh(3, *boxmesh.cube_arrays(x0, n))
+
+
+def generate_disk(radius, n_r, n_t, theta_offset=0.0, center=(0.0, 0.0)):
+    """Structured triangulation of a disk: a center fan plus n_r-1 polar rings."""
+    if radius <= 0:
+        raise MeshError("radius must be positive")
+    if n_r < 1 or n_t < 3:
+        raise MeshError("need n_r >= 1 and n_t >= 3")
+    cx, cy = center
+    theta = theta_offset + 2 * np.pi * np.arange(n_t) / n_t
+    r = (radius * np.arange(1, n_r + 1) / n_r)[:, None]
+    rings = np.column_stack([(cx + r * np.cos(theta)).ravel(), (cy + r * np.sin(theta)).ravel()])
+    j = np.arange(n_t)
+    fan = np.column_stack([np.zeros(n_t, dtype=np.int64), 1 + j, 1 + (j + 1) % n_t])
+    tris = np.vstack([fan, 1 + _polar_grid_triangles(n_r - 1, n_t)])
+    return SimplicialMesh(2, np.vstack([[cx, cy], rings]), tris)
+
+
+def submesh(mesh, simplex_ids):
+    """Mesh restricted to the given simplices, with vertices reindexed."""
+    simplex_ids = np.asarray(simplex_ids, dtype=np.int64)
+    if simplex_ids.size == 0:
+        raise MeshError("submesh selection is empty")
+    keep = mesh.simplices[simplex_ids]
+    old = np.unique(keep)
+    remap = np.full(mesh.num_vertices, -1, dtype=np.int64)
+    remap[old] = np.arange(len(old))
+    return SimplicialMesh(mesh.dim, mesh.vertices[old], remap[keep])
 
 
 def other_coverage_counts_per_point(domain, k, points):

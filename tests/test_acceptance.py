@@ -16,7 +16,6 @@ from overlapfem import (
     build_scenario,
     constrained_modes,
     generate_annulus,
-    generate_disk,
     generate_segment,
     implicit_step,
     load_mesh,
@@ -26,11 +25,11 @@ from overlapfem import (
     solve_bilaplace,
     solve_bilaplace_convex,
     solve_poisson,
-    submesh,
     thin_constraints,
 )
 from overlapfem import harness
 from overlapfem.solver import coupling_for_mode
+from reference import generate_disk, submesh
 
 DATA = Path(__file__).parent / "data"
 QUAD = QuadratureSpec.corner_average()

@@ -15,7 +15,6 @@ from overlapfem import (
     adjusted_volumes,
     assemble_global,
     generate_annulus,
-    generate_disk,
     generate_segment,
     load_mesh,
     lumped_mass_matrix,
@@ -25,6 +24,7 @@ from overlapfem import fem, geometry
 from overlapfem.fem import _element_points, quadrature_rule
 from overlapfem.geometry import locate_points, other_coverage_counts
 from reference import (
+    generate_disk,
     gradient_matrix,
     kuhn_box,
     other_coverage_counts_per_point,

@@ -13,7 +13,6 @@ from overlapfem import (
     PointLocator,
     SimplicialMesh,
     generate_annulus,
-    generate_disk,
     generate_segment,
     load_mesh,
 )
@@ -21,16 +20,17 @@ from overlapfem.geometry import (
     _BLOCK_CHECKS,
     CONTAINMENT_TOL,
     _contained,
-    brute_force_locate,
     locate_points,
     other_coverage_counts,
     simplex_coordinates,
 )
-from overlapfem.mesh import boundary_facets
 from reference import (
     GeometryError,
     PointLocatorGather,
     barycentric_coordinates,
+    boundary_facets,
+    brute_force_locate,
+    generate_disk,
     kuhn_box,
     traced_transient,
 )

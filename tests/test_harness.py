@@ -312,6 +312,16 @@ class TestRunConvergence:
         assert rows[2]["error_linf"] < rows[0]["error_linf"]
         assert all(r["constraint_rows"] == 2 for r in rows)
 
+    def test_zero_previous_error_leaves_order_blank(self, monkeypatch):
+        # log(0 / e) is undefined: an exact solve at one resolution must not
+        # crash the sweep when the next resolution's error is positive.
+        errors = iter([0.0, 1e-3])
+        monkeypatch.setattr(harness, "_linf_error", lambda scenario, report: next(errors))
+        rows = run_convergence(ExperimentConfig("seg1d_poisson", resolutions=(20, 40)))
+        assert [r["error_linf"] for r in rows] == [0.0, 1e-3]
+        assert [r["observed_order"] for r in rows] == [None, None]
+        assert convergence_csv(rows).splitlines()[2].split(",")[3] == ""
+
     def test_custom_has_no_reference(self, tmp_path):
         for name, (a, b) in {"a": (0.0, 0.7), "b": (0.3, 1.0)}.items():
             (tmp_path / (name + ".dmesh")).write_text(

@@ -18,20 +18,14 @@ from overlapfem import (
     assemble_global,
     boundary_vertices,
     generate_annulus,
-    generate_disk,
     generate_segment,
     load_mesh,
     save_mesh,
     solve_poisson,
-    submesh,
 )
-from overlapfem.mesh import (
-    _polar_grid_triangles,
-    _read_blocks,
-    _read_tokens,
-    boundary_facets,
-)
+from overlapfem.mesh import _polar_grid_triangles, _read_blocks, _read_tokens
 from overlapfem.solver import coupling_for_mode
+from reference import boundary_facets, generate_disk, submesh
 from test_geometry import MESHES
 
 
