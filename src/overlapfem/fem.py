@@ -138,7 +138,12 @@ def _element_points(mesh, bary):
     corners = mesh.vertices[mesh.simplices]  # (t, d+1, d)
     pts = np.einsum("qj,tjd->tqd", bary, corners)
     centroid = corners.mean(axis=1, keepdims=True)
-    return pts + _INWARD_NUDGE * (centroid - pts)
+    del corners
+    # pts + nudge (centroid - pts), formed in place: + and * commute exactly.
+    step = centroid - pts
+    step *= _INWARD_NUDGE
+    step += pts
+    return step
 
 
 def adjusted_volumes(domain, k, quad):

@@ -111,10 +111,9 @@ class PointLocator:
         flat = np.ravel_multi_index(tuple(index.T), self.shape)
         return np.where(inside, flat, len(self.bin_size) - 1)
 
-    def candidates(self, points):
+    def candidates(self, points, cells):
         """(point index, simplex index) pairs whose padded box holds the point,
-        ordered by point, then simplex."""
-        cells = self.cells(points)
+        ordered by point, then simplex, given the points' :meth:`cells`."""
         n = self.bin_size[cells]
         pi = np.repeat(np.arange(len(points)), n)
         si = self.bins[np.arange(len(pi)) + np.repeat(self.bin_start[cells] - np.cumsum(n) + n, n)]
@@ -142,11 +141,16 @@ def locate_points(tree, points):
     containment, lowest index wins; -1 where none)."""
     points = np.asarray(points, dtype=float)
     found = np.full(len(points), -1, dtype=np.int64)
-    block = np.cumsum(tree.bin_size[tree.cells(points)]) // _BLOCK_PAIRS
-    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(points)]
+    cells = tree.cells(points)
+    counts = tree.bin_size[cells]
+    # A point in an empty cell (such as the cell outside the grid) has no candidate.
+    listed = np.flatnonzero(counts)
+    block = np.cumsum(counts[listed]) // _BLOCK_PAIRS
+    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(listed)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        pi, si = tree.candidates(points[start:stop])
-        pi += start
+        part = listed[start:stop]
+        pi, si = tree.candidates(points[part], cells[part])
+        pi = part[pi]
         ok = _contained(tree.mesh, points[pi], si)
         pi, si = pi[ok], si[ok]
         first = np.diff(pi, prepend=-1) > 0  # by point, then simplex: the lowest index

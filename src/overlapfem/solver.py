@@ -4,7 +4,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
+# scipy.sparse.linalg (SuperLU, ARPACK and scipy.linalg) is imported where a factorization
+# or eigensolve runs: a process whose solves all take the substitution core never loads it.
 
 from .coupling import (
     ALL_VERTICES,
@@ -144,8 +145,9 @@ class _SaddleSolver:
                 if shift:
                     diag = np.r_[np.zeros(K.shape[0] - self.m), np.full(self.m, shift)]
                     K = K - sp.diags(diag, format="csc")
+                from scipy.sparse.linalg import splu
                 try:
-                    self._lu = spla.splu(K, **options)
+                    self._lu = splu(K, **options)
                 except RuntimeError:
                     continue
                 self.factor_nnz = self._lu.nnz
@@ -212,14 +214,34 @@ def _substitution_core(Q, A, b, c):
     E = sp.csr_matrix((1.0 / R.data[pivot], (slave, np.arange(m))), shape=(n, m))
     Z = (sp.eye(n, format="csr") - E @ R)[:, master]
     z0 = E @ c
-    K = Z.T @ Q @ Z
-    steps = []
-    w, info = spla.cg(K, Z.T @ (b - Q @ z0), rtol=CG_RTOL, maxiter=CG_MAX_ITERATIONS,
-                      M=sp.diags(1.0 / K.diagonal()), callback=steps.append)
-    if info:
-        raise SolverError("substitution_cg did not converge in %d iterations" % len(steps))
+    w, iterations = _jacobi_cg(Z.T @ Q @ Z, Z.T @ (b - Q @ z0))
     u = Z @ w + z0
-    return u, E.T @ (b - Q @ u), "substitution_cg", len(steps), 0
+    return u, E.T @ (b - Q @ u), "substitution_cg", iterations, 0
+
+
+def _jacobi_cg(K, rhs):
+    """(w, iterations) of K w = rhs by Jacobi-preconditioned CG from w = 0 (Saad
+    2003, Alg. 9.1) to ||r|| < CG_RTOL ||rhs||, in the arithmetic and order of
+    ``scipy.sparse.linalg.cg`` with M = diag(K)^-1."""
+    w, norm = np.zeros_like(rhs), np.linalg.norm(rhs)
+    if norm == 0:
+        return w, 0
+    dinv, r, p, rho = 1.0 / K.diagonal(), rhs.copy(), None, None
+    for iteration in range(CG_MAX_ITERATIONS):
+        if np.linalg.norm(r) < CG_RTOL * norm:
+            return w, iteration
+        z = dinv * r
+        rho, last = np.dot(r, z), rho
+        if p is None:
+            p = z
+        else:
+            p *= rho / last
+            p += z
+        q = K @ p
+        alpha = rho / np.dot(p, q)
+        w += alpha * p
+        r -= alpha * q
+    raise SolverError("substitution_cg did not converge in %d iterations" % CG_MAX_ITERATIONS)
 
 
 def _as_fixed_arrays(fixed, N):
@@ -480,14 +502,15 @@ def constrained_modes(L, M, A, k):
     # A fixed-seed random start keeps the output reproducible (all ones is the
     # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
+    from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
     saddle = _SaddleSolver(L - sigma * M, A)
-    OPinv = spla.LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float)
+    OPinv = LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float)
     try:
         # In shift-invert mode eigsh reads only the shape and dtype of its first argument.
-        vals, vecs = spla.eigsh(
+        vals, vecs = eigsh(
             OPinv, k, M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
             OPinv=OPinv, ncv=min(N - m, max(2 * k + 1, 20)),
         )
-    except spla.ArpackError as exc:
+    except ArpackError as exc:
         raise SolverError("eigensolver failed: %s" % exc) from None
     return [(float(vals[i]), vecs[:N, i]) for i in np.argsort(vals)]

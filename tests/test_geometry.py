@@ -246,7 +246,7 @@ class TestGridLocator:
         mesh = SimplicialMesh(1, x, np.column_stack([np.arange(20001), np.arange(1, 20002)]))
         tree = PointLocator(mesh)
         pts = np.random.default_rng(5).random((2000, 1))
-        pi, _ = tree.candidates(pts)
+        pi, _ = tree.candidates(pts, tree.cells(pts))
         assert len(pi) < 10 * len(pts)
         found = locate_points(tree, pts)
         assert (found >= 0).all()

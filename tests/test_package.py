@@ -1,6 +1,10 @@
 import ast
 import importlib
+import json
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -54,3 +58,43 @@ def test_every_exported_function_has_a_library_caller():
                                 if other is not stmt)):
                 uncalled.append(stmt.name)
     assert uncalled == []
+
+
+# Run in a fresh interpreter: import overlapfem, solve the two test boxes with
+# boundary-only rows (every row substitutes), then run an all-vertices
+# converge (rows share pivots: a saddle factorization). After each step, print
+# whether the factorization and eigensolver stack has been imported.
+FOOTPRINT = """
+import json, sys
+stacks = ("scipy.sparse.linalg", "scipy.linalg")
+loaded = lambda: [name in sys.modules for name in stacks]
+import overlapfem
+from overlapfem.cli import main
+steps = [loaded()]
+for argv in json.loads(sys.argv[1]):
+    assert main(argv) == 0
+    steps.append(loaded())
+print(json.dumps(steps))
+"""
+
+
+def test_substitution_commands_do_not_load_the_factorization_stack(tmp_path):
+    data = Path(__file__).parent / "data"
+    solve, converge = tmp_path / "solve.cfg", tmp_path / "converge.cfg"
+    solve.write_text(
+        "scenario = custom\nmesh_files = %s,%s\ndirichlet = 0:0:1,1:0:2\noutput = %s\n"
+        % (data / "box_a.dmesh", data / "box_b.dmesh", tmp_path / "u.csv")
+    )
+    converge.write_text(
+        "scenario = seg1d_poisson\ncoupling = all_vertices\nresolutions = 10,20\n"
+        "output = %s\n" % (tmp_path / "converge.csv")
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(overlapfem.__file__).parents[1]))
+    run = subprocess.run(
+        [sys.executable, "-c", FOOTPRINT,
+         json.dumps([["solve", str(solve)], ["converge", str(converge)]])],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    imported, solved, converged = json.loads(run.stdout)
+    assert imported == solved == [False, False]
+    assert converged == [True, True]

@@ -3,6 +3,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.linalg
 from scipy.sparse.linalg import splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -77,8 +78,7 @@ class TestSolveKkt:
 
     def test_reciprocal_rows_factorize_once(self, monkeypatch):
         calls = []
-        splu = solver.spla.splu
-        monkeypatch.setattr(solver.spla, "splu",
+        monkeypatch.setattr(scipy.sparse.linalg, "splu",
                             lambda K, **kwargs: calls.append(K) or splu(K, **kwargs))
         A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         rep = solve_kkt(sp.diags([2.0, 2.0]), np.array([2.0, 4.0]), A)
@@ -310,8 +310,8 @@ class TestConstrainedModes:
         # One restart is too few for 10 modes of 400 vertices: ARPACK stops unconverged.
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 400)])
         L, M = assemble_global(dom, QUAD)
-        eigsh = solver.spla.eigsh
-        monkeypatch.setattr(solver.spla, "eigsh", lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
+        eigsh = scipy.sparse.linalg.eigsh
+        monkeypatch.setattr(scipy.sparse.linalg, "eigsh", lambda *a, **kw: eigsh(*a, maxiter=1, **kw))
         with pytest.raises(SolverError, match="eigensolver failed"):
             constrained_modes(L, M, None, 10)
 
@@ -515,6 +515,50 @@ class TestSolvePaths:
         monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
         with pytest.raises(SolverError, match="substitution_cg did not converge in 1 iterations"):
             solve_poisson(pinned_boxes(), QUAD, "boundary_only")
+
+
+class TestJacobiCg:
+    """The substitution core's CG against scipy.sparse.linalg.cg with the
+    same Jacobi preconditioner: the same iteration count, and the same w up
+    to rounding (the arithmetic is the same, but is not pinned to the bit)."""
+
+    @staticmethod
+    def assert_matches_scipy(K, rhs):
+        steps = []
+        expected, info = scipy.sparse.linalg.cg(K, rhs, rtol=solver.CG_RTOL,
+                                                M=sp.diags(1.0 / K.diagonal()),
+                                                callback=steps.append)
+        w, iterations = solver._jacobi_cg(K, rhs)
+        assert info == 0 and iterations == len(steps) > 0
+        assert np.linalg.norm(w - expected) <= 1e-12 * np.linalg.norm(expected)
+
+    def test_matches_scipy_on_the_annulus(self, monkeypatch):
+        systems = []
+        jacobi_cg = solver._jacobi_cg
+        monkeypatch.setattr(solver, "_jacobi_cg",
+                            lambda K, rhs: systems.append((K, rhs)) or jacobi_cg(K, rhs))
+        domain = build_scenario(ExperimentConfig("annulus2d_poisson"), 2).domain
+        solve_poisson(domain, QUAD, "boundary_only")
+        [(K, rhs)] = systems
+        self.assert_matches_scipy(K, rhs)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), density=st.floats(0.02, 0.3))
+    def test_matches_scipy_property(self, seed, n, density):
+        # A sparse SPD matrix under a symmetric diagonal scaling, which the
+        # Jacobi preconditioner undoes.
+        rng = np.random.default_rng(seed)
+        G = rng.uniform(-1.0, 1.0, (n, n)) * (rng.random((n, n)) < density)
+        scale = np.exp(rng.uniform(-3.0, 3.0, n))
+        K = sp.csc_matrix(scale[:, None] * (G @ G.T + np.eye(n)) * scale)
+        self.assert_matches_scipy(K, rng.uniform(-1.0, 1.0, n))
+
+    def test_zero_right_hand_side_takes_no_step(self):
+        # Zero load and zero Dirichlet values: w = 0 after no iteration, as in cg.
+        domain = build_scenario(ExperimentConfig("annulus2d_poisson"), 1).domain
+        rep = solve_poisson(domain, QUAD, "boundary_only", rhs=0.0)
+        assert rep.path == "substitution_cg" and rep.iterations == 0
+        assert not rep.u.any()
 
 
 def random_qp(seed, n, zero_block):
