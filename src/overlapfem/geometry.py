@@ -142,15 +142,11 @@ def locate_points(tree, points):
     points = np.asarray(points, dtype=float)
     found = np.full(len(points), -1, dtype=np.int64)
     cells = tree.cells(points)
-    counts = tree.bin_size[cells]
-    # A point in an empty cell (such as the cell outside the grid) has no candidate.
-    listed = np.flatnonzero(counts)
-    block = np.cumsum(counts[listed]) // _BLOCK_PAIRS
-    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(listed)]
+    block = np.cumsum(tree.bin_size[cells]) // _BLOCK_PAIRS
+    edges = np.r_[0, np.flatnonzero(np.diff(block)) + 1, len(points)]
     for start, stop in zip(edges[:-1], edges[1:]):
-        part = listed[start:stop]
-        pi, si = tree.candidates(points[part], cells[part])
-        pi = part[pi]
+        pi, si = tree.candidates(points[start:stop], cells[start:stop])
+        pi += start
         ok = _contained(tree.mesh, points[pi], si)
         pi, si = pi[ok], si[ok]
         first = np.diff(pi, prepend=-1) > 0  # by point, then simplex: the lowest index
