@@ -35,12 +35,14 @@ class QuadratureSpec:
     samples_per_element: int = 100
     seed: int = 0
 
-    _SCHEMES = ("corner_average", "barycenter", "symmetric_fixed_order", "monte_carlo")
+    # The fields each scheme reads; a config file names them as keys.
+    SCHEME_FIELDS = {"corner_average": (), "barycenter": (), "symmetric": ("n_points",),
+                     "monte_carlo": ("samples_per_element", "seed")}
 
     def __post_init__(self):
-        if self.scheme not in self._SCHEMES:
+        if self.scheme not in self.SCHEME_FIELDS:
             raise ValueError("unknown quadrature scheme %r" % (self.scheme,))
-        if self.scheme == "symmetric_fixed_order" and self.n_points not in (1, 4, 10):
+        if self.scheme == "symmetric" and self.n_points not in (1, 4, 10):
             raise ValueError("symmetric rule supports 1, 4 or 10 points")
         if self.scheme == "monte_carlo" and not (self.samples_per_element >= 1 and self.seed >= 0):
             raise ValueError("monte_carlo needs samples_per_element >= 1 and seed >= 0")
@@ -55,7 +57,7 @@ class QuadratureSpec:
 
     @classmethod
     def symmetric(cls, n_points=10):
-        return cls("symmetric_fixed_order", n_points=n_points)
+        return cls("symmetric", n_points=n_points)
 
     @classmethod
     def monte_carlo(cls, samples_per_element=100, seed=0):
@@ -119,7 +121,7 @@ def quadrature_rule(spec, dim):
         return np.full(dim + 1, 1.0 / (dim + 1)), np.eye(dim + 1)
     if spec.scheme == "barycenter":
         return _symmetric_rule(dim, 1)
-    if spec.scheme == "symmetric_fixed_order":
+    if spec.scheme == "symmetric":
         return _symmetric_rule(dim, spec.n_points)
     raise ValueError("monte_carlo has no fixed rule; points are drawn per element")
 

@@ -2,7 +2,7 @@
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -90,7 +90,7 @@ class ExperimentConfig:
     dirichlet_right: float = None
     dirichlet_inner: float = None
     dirichlet_outer: float = None
-    dirichlet_triples: tuple = ()
+    dirichlet: tuple = ()
     mesh_files: tuple = ()
     penalty_weights: tuple = ()
     num_modes: int = 10
@@ -118,7 +118,7 @@ class ExperimentConfig:
         if any(b <= a for a, b in zip(self.resolutions, self.resolutions[1:])):
             raise ConfigError("resolution list must be strictly increasing")
         for key in _SCENARIO_KEYS:
-            if key not in spec.keys and getattr(self, _KEYS[key][0]) not in (None, ()):
+            if key not in spec.keys and getattr(self, key) not in (None, ()):
                 raise ConfigError("scenario %s does not read %s" % (self.scenario, key))
         if "mesh_files" in spec.keys and len(self.mesh_files) < 2:
             raise ConfigError("%s scenario needs at least two mesh files" % self.scenario)
@@ -148,35 +148,26 @@ def _listed(parse):
     return lambda raw: tuple(parse(item.strip()) for item in raw.split(","))
 
 
-# Quadrature scheme name -> (QuadratureSpec constructor, its sub-keys).
-_QUADRATURES = {
-    "corner_average": (QuadratureSpec.corner_average, ()),
-    "barycenter": (QuadratureSpec.barycenter, ()),
-    "symmetric": (QuadratureSpec.symmetric, ("n_points",)),
-    "monte_carlo": (QuadratureSpec.monte_carlo, ("samples_per_element", "seed")),
-}
-
-
-# Config key -> (ExperimentConfig field, parser). The quadrature sub-keys have
-# no field: they are arguments of their scheme's constructor.
+# Config key -> parser. Each key names an ExperimentConfig field, except the
+# quadrature sub-keys, which name the QuadratureSpec fields of their scheme.
 _KEYS = {
-    "scenario": ("scenario", str),
-    "coupling": ("coupling", str),
-    "quadrature": ("quadrature", str),
-    "n_points": (None, int),
-    "samples_per_element": (None, int),
-    "seed": (None, int),
-    "resolutions": ("resolutions", _listed(int)),
-    "f": ("f", _finite),
-    "dirichlet_left": ("dirichlet_left", _finite),
-    "dirichlet_right": ("dirichlet_right", _finite),
-    "dirichlet_inner": ("dirichlet_inner", _finite),
-    "dirichlet_outer": ("dirichlet_outer", _finite),
-    "dirichlet": ("dirichlet_triples", _listed(_triple)),
-    "mesh_files": ("mesh_files", _listed(str)),
-    "penalty_weights": ("penalty_weights", _listed(_finite)),
-    "num_modes": ("num_modes", int),
-    "output": ("output", str),
+    "scenario": str,
+    "coupling": str,
+    "quadrature": str,
+    "n_points": int,
+    "samples_per_element": int,
+    "seed": int,
+    "resolutions": _listed(int),
+    "f": _finite,
+    "dirichlet_left": _finite,
+    "dirichlet_right": _finite,
+    "dirichlet_inner": _finite,
+    "dirichlet_outer": _finite,
+    "dirichlet": _listed(_triple),
+    "mesh_files": _listed(str),
+    "penalty_weights": _listed(_finite),
+    "num_modes": int,
+    "output": str,
 }
 
 
@@ -200,17 +191,17 @@ def parse_config(text, base_dir=None):
         if key in values:
             raise ConfigError("line %d: duplicate key %r" % (lineno, key))
         try:
-            values[key] = _KEYS[key][1](value.strip())
+            values[key] = _KEYS[key](value.strip())
         except ValueError as exc:
             raise ConfigError("line %d: %s: %s" % (lineno, key, exc)) from None
     if "scenario" not in values:
         raise ConfigError("missing required key: scenario")
     if "quadrature" in values:
-        if values["quadrature"] not in _QUADRATURES:
-            raise ConfigError("unknown quadrature scheme %r" % (values["quadrature"],))
-        make, keys = _QUADRATURES[values["quadrature"]]
+        keys = QuadratureSpec.SCHEME_FIELDS.get(values["quadrature"], ())
         try:
-            values["quadrature"] = make(**{k: values.pop(k) for k in keys if k in values})
+            values["quadrature"] = QuadratureSpec(
+                values["quadrature"], **{k: values.pop(k) for k in keys if k in values}
+            )
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     base = Path(base_dir or ".")
@@ -218,10 +209,11 @@ def parse_config(text, base_dir=None):
         values["mesh_files"] = tuple(str(base / p) for p in values["mesh_files"])
     if "output" in values:
         values["output"] = str(base / values["output"])
+    names = {field.name for field in fields(ExperimentConfig)}
     for key in values:
-        if _KEYS[key][0] is None:
+        if key not in names:
             raise ConfigError("%s requires the matching quadrature scheme" % key)
-    return ExperimentConfig(**{_KEYS[key][0]: value for key, value in values.items()})
+    return ExperimentConfig(**values)
 
 
 def load_config(path):
@@ -329,7 +321,7 @@ def _custom(config, resolution, f):
             raise ConfigError("cannot read mesh %s: %s" % (path, exc)) from None
         except MeshError as exc:
             raise ConfigError("bad mesh %s: %s" % (path, exc)) from None
-    return DeconstructedDomain(meshes, list(config.dirichlet_triples)), None
+    return DeconstructedDomain(meshes, list(config.dirichlet)), None
 
 
 # A built-in scenario: build(config, resolution, f) returns the domain and the
@@ -571,18 +563,12 @@ def penalty_csv(rows):
     return _csv("omega,error_linf", ((_fmt(omega), _fmt(err)) for omega, err in rows))
 
 
-def _value_coupling(config, domain):
-    """Value coupling: the config's, or the boundary-only rows of a bi-Laplace one."""
-    mode = config.coupling if config.coupling in COUPLING_MODES else "boundary_only"
-    return coupling_for_mode(domain, mode)
-
-
 def run_modes(config):
     """First ``num_modes`` constrained eigenvalues at the finest resolution."""
     scenario = build_scenario(config, config.resolutions[-1])
     domain = scenario.domain
     L, M = assemble_global(domain, config.quadrature)
-    _, A = _value_coupling(config, domain)
+    _, A = coupling_for_mode(domain, config.coupling)
     pairs = constrained_modes(L, M, A, config.num_modes)
     return [val for val, _ in pairs]
 
@@ -596,7 +582,7 @@ def run_constraints(config):
     if config.coupling == "none":
         raise ConfigError("coupling mode none has no constraint set")
     scenario = build_scenario(config, config.resolutions[0])
-    cs, _ = _value_coupling(config, scenario.domain)
+    cs, _ = coupling_for_mode(scenario.domain, config.coupling)
     return cs
 
 

@@ -132,8 +132,6 @@ class _SaddleSolver:
         self._attempts = [("saddle_lu", 0.0, {}), ("saddle_lu_eps", eps, {})]
         if (diagonal > 0).all():
             self._attempts.insert(0, ("saddle_qd", eps, _QUASI_DEFINITE))
-        self.path = self._attempts[0][0]
-        self.factor_nnz = 0
         self._lu = None
 
     def solve(self, rhs):
@@ -315,8 +313,9 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
 
 
 def coupling_for_mode(domain, mode):
-    """Constraint set and materialized matrix for a coupling mode."""
-    if mode not in COUPLING_MODES:
+    """Constraint set and materialized matrix for a coupling mode; the value
+    rows of a bi-Laplace coupling are the boundary-only rows."""
+    if mode not in COUPLING_MODES + BILAPLACE_COUPLINGS:
         raise ValueError("unknown coupling mode %r" % (mode,))
     if mode == "none":
         return None, sp.csr_matrix((0, domain.total_vertices))
@@ -445,13 +444,7 @@ def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
     Lp, M, Mf, cs, _, Avalue = _bilaplace_setup(domain, quad, load)
     N = domain.total_vertices
     m = Avalue.shape[0]
-
     mdiag = M.diagonal()
-    if (mdiag <= 0).any():
-        raise SolverError(
-            "zero mass entry at vertex %d (isolated vertex)" % int(np.argmin(mdiag))
-        )
-
     z_fixed = np.zeros(N)
     z_free = np.ones(N, dtype=bool)
     for g, val in domain.global_pins(dirichlet_laplacians or ()):

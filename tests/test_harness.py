@@ -72,12 +72,42 @@ class TestParseConfig:
         assert cfg.quadrature == QuadratureSpec.monte_carlo(64, 9)
 
     def test_quadrature_sub_keys_default_to_the_spec(self):
-        for scheme, spec in [("symmetric", QuadratureSpec("symmetric_fixed_order")),
-                             ("monte_carlo", QuadratureSpec("monte_carlo"))]:
-            cfg = parse_config("scenario = seg1d_poisson\nquadrature = %s\n" % scheme)
-            assert cfg.quadrature == spec
-        cfg = parse_config("scenario = seg1d_poisson\nquadrature = monte_carlo\nseed = 3\n")
-        assert cfg.quadrature == QuadratureSpec.monte_carlo(100, 3)
+        # A config names the scheme and its fields as QuadratureSpec does.
+        for scheme, sub_keys in [("corner_average", {}), ("barycenter", {}),
+                                 ("symmetric", {}), ("symmetric", {"n_points": 4}),
+                                 ("monte_carlo", {}), ("monte_carlo", {"seed": 3}),
+                                 ("monte_carlo", {"samples_per_element": 64, "seed": 9})]:
+            text = "scenario = seg1d_poisson\nquadrature = %s\n" % scheme
+            text += "".join("%s = %d\n" % item for item in sub_keys.items())
+            assert parse_config(text).quadrature == QuadratureSpec(scheme, **sub_keys)
+
+    def test_schemes_list_the_fields_they_read(self):
+        spec_fields = {"n_points", "samples_per_element", "seed"}
+        for scheme, keys in QuadratureSpec.SCHEME_FIELDS.items():
+            assert set(keys) <= spec_fields and set(keys) <= set(harness._KEYS)
+            for key in spec_fields - set(keys):
+                with pytest.raises(ConfigError, match="%s requires the matching" % key):
+                    parse_config("scenario = seg1d_poisson\nquadrature = %s\n%s = 4\n"
+                                 % (scheme, key))
+
+    def test_every_key_names_its_field(self):
+        # Each scenario with every key it reads: the parsed config equals the
+        # one built from the same names as fields.
+        common = {"resolutions": "3,5", "f": "3", "num_modes": "4", "output": "out.csv",
+                  "quadrature": "monte_carlo", "samples_per_element": "7", "seed": "2"}
+        scenario_values = {"mesh_files": "a.dmesh,b.dmesh", "dirichlet": "0:0:1.5,1:4:-2"}
+        for scenario, spec in harness._SCENARIOS.items():
+            keys = dict(common, scenario=scenario, coupling=harness._COUPLINGS[spec.kind][0])
+            keys.update((key, scenario_values.get(key, "0.25")) for key in spec.keys)
+            if spec.kind == "poisson":
+                keys["penalty_weights"] = "0.5,2"
+            text = "".join("%s = %s\n" % item for item in keys.items())
+            fields = {key: harness._KEYS[key](value) for key, value in keys.items()}
+            fields["quadrature"] = QuadratureSpec(
+                "monte_carlo", samples_per_element=fields.pop("samples_per_element"),
+                seed=fields.pop("seed"),
+            )
+            assert parse_config(text) == ExperimentConfig(**fields), scenario
 
     def test_penalty_and_modes_keys(self):
         cfg = parse_config(
@@ -199,6 +229,19 @@ class TestBuildScenario:
             (1.5**2 - 1) / 4 - 3 / (4 * math.log(2)) * math.log(1.5)
         )
         assert val == pytest.approx(-0.126222, abs=5e-6)
+
+    def test_custom_dirichlet_field_is_the_config_key(self, tmp_path):
+        for name, (a, b) in {"a": (0.0, 0.7), "b": (0.3, 1.0)}.items():
+            (tmp_path / (name + ".dmesh")).write_text(save_mesh(generate_segment(a, b, 6)))
+        text = "scenario = custom\nmesh_files = a.dmesh,b.dmesh\ndirichlet = 0:0:0.5,1:5:-1\n"
+        parsed = build_scenario(parse_config(text, base_dir=tmp_path), 1).domain
+        paths = (str(tmp_path / "a.dmesh"), str(tmp_path / "b.dmesh"))
+        config = ExperimentConfig("custom", mesh_files=paths, dirichlet=((0, 0, 0.5), (1, 5, -1.0)))
+        built = build_scenario(config, 1).domain
+        assert built.dirichlet == parsed.dirichlet == [(0, 0, 0.5), (1, 5, -1.0)]
+        for mine, theirs in zip(built.subdomains, parsed.subdomains, strict=True):
+            np.testing.assert_array_equal(mine.vertices, theirs.vertices)
+            np.testing.assert_array_equal(mine.simplices, theirs.simplices)
 
     def test_custom_requires_readable_meshes(self, tmp_path):
         path = tmp_path / "a.dmesh"
@@ -529,7 +572,7 @@ class TestCli:
         cfg.write_text("scenario = custom\nmesh_files = a.dmesh,b.dmesh\nresolutions = 1,2\n")
         assert main(["solve", str(cfg)]) == 2
 
-    def test_unconverged_dual_cg_exit_code(self, tmp_path, capsys, monkeypatch):
+    def test_unconverged_substitution_cg_exit_code(self, tmp_path, capsys, monkeypatch):
         # One pin per annulus, boundary-only rows: the substitution path.
         (tmp_path / "a.dmesh").write_text(save_mesh(generate_annulus(1.0, 1.6, 6, 9)))
         (tmp_path / "b.dmesh").write_text(save_mesh(generate_annulus(1.4, 2.0, 6, 9, 0.1)))

@@ -29,7 +29,7 @@ from overlapfem import (
     solve_poisson,
 )
 from overlapfem import harness, solver
-from overlapfem.solver import coupling_for_mode
+from overlapfem.solver import BILAPLACE_COUPLINGS, coupling_for_mode
 from test_geometry import MESHES
 
 QUAD = QuadratureSpec.corner_average()
@@ -242,23 +242,6 @@ class TestBilaplace:
         with pytest.raises(SolverError):
             solve_bilaplace(dom, QUAD, "medium_order")
 
-    def test_convex_solver_rejects_a_zero_mass_entry(self, monkeypatch):
-        # Adjusted volumes are positive and every vertex lies in a simplex, so
-        # assembly cannot give a zero lumped mass; this check is reached here
-        # only by zeroing one entry of the assembled mass.
-        assemble = solver.assemble_global
-
-        def zero_mass_at_vertex_3(domain, quad):
-            L, M = assemble(domain, quad)
-            diagonal = M.diagonal()
-            diagonal[3] = 0.0
-            return L, sp.diags(diagonal, format="csr")
-
-        monkeypatch.setattr(solver, "assemble_global", zero_mass_at_vertex_3)
-        dom, z_pins = self.quartic_domain(10)
-        with pytest.raises(SolverError, match="zero mass entry at vertex 3"):
-            solve_bilaplace_convex(dom, QUAD, z_pins, load=24.0)
-
     def test_convex_solver_agrees(self):
         dom, z_pins = self.quartic_domain(30)
         kkt = solve_bilaplace(dom, QUAD, "high_order", z_pins, load=24.0)
@@ -336,6 +319,16 @@ class TestCouplingForMode:
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
         cs, A = coupling_for_mode(dom, "none")
         assert cs is None and A.shape == (0, 5)
+
+    @pytest.mark.parametrize("coupling", BILAPLACE_COUPLINGS)
+    def test_bilaplace_couplings_take_the_boundary_only_rows(self, coupling):
+        dom = DeconstructedDomain([generate_annulus(1.0, 1.6, 3, 12),
+                                   generate_annulus(1.4, 2.0, 3, 12, 0.2)])
+        cs_ref, A_ref = coupling_for_mode(dom, "boundary_only")
+        cs, A = coupling_for_mode(dom, coupling)
+        for name in ("indptr", "indices", "data"):
+            np.testing.assert_array_equal(getattr(A, name), getattr(A_ref, name))
+        np.testing.assert_array_equal(cs.target, cs_ref.target)
 
     def test_unknown_mode(self):
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
@@ -416,11 +409,11 @@ class TestSolvePaths:
         assert_path(rep, mode)
         assert_close(rep.u, ref.u)
 
-    def test_no_rows_skip_cg(self):
+    def test_no_rows_take_substitution_cg(self):
         rep = solve_poisson(pinned_segments(), QUAD, "none")
         assert rep.path == "substitution_cg" and rep.iterations > 0
 
-    def test_floating_subdomain_takes_saddle_lu(self):
+    def test_floating_subdomain_takes_saddle_qd(self):
         # The middle segment holds no Dirichlet vertex. The right end of the
         # first segment and the left end of the last are each the target of
         # two rows, so those rows have no pivot of their own.
@@ -481,7 +474,7 @@ class TestSolvePaths:
             ref = saddle_reference(domain, "boundary_only", lambda L, M: M + alpha * L, rhs)
         assert_close(rep.u, ref.u)
 
-    def test_coincident_copies_take_saddle_lu(self):
+    def test_coincident_copies_take_saddle_qd(self):
         # Under all_vertices the rows u_a - u_b, u_a - u_c, u_b - u_c at each
         # interior vertex are distinct but dependent, and share their columns.
         n = 11
@@ -511,7 +504,7 @@ class TestSolvePaths:
         run_penalty_sweep(config)
         assert paths == ["saddle_qd", "saddle_qd"]
 
-    def test_unconverged_dual_cg_raises(self, monkeypatch):
+    def test_unconverged_substitution_cg_raises(self, monkeypatch):
         monkeypatch.setattr(solver, "CG_MAX_ITERATIONS", 1)
         with pytest.raises(SolverError, match="substitution_cg did not converge in 1 iterations"):
             solve_poisson(pinned_boxes(), QUAD, "boundary_only")
