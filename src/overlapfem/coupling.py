@@ -57,7 +57,7 @@ class ConstraintSet:
 def _pair_constraints(domain, targets_per_subdomain, mode):
     """Rows for a, then b != a, then the targets of a in the given order."""
     pinned = np.zeros(domain.total_vertices, dtype=bool)
-    pinned[[g for g, _ in domain.global_pins(domain.dirichlet)]] = True
+    pinned[[g for g, _ in domain.pins]] = True
     d1 = domain.dim + 1
     blocks = [(np.empty((0, 2), int), np.empty((0, 2), int),
                np.empty((0, d1), int), np.empty((0, d1)))]

@@ -234,7 +234,6 @@ class Scenario:
     kind: str  # "poisson" or "bilaplace"
     f: float
     reference: object = None  # maps (n, d) vertex coordinates to exact values
-    z_pins: tuple = ()
 
 
 def _pinned_pair(a, b, k, u_first, u_last):
@@ -347,10 +346,7 @@ def build_scenario(config, resolution):
     spec = _SCENARIOS[config.scenario]
     f = spec.f if config.f is None else config.f
     domain, reference = spec.build(config, resolution, f)
-    z_pins = ()
-    if spec.kind == "bilaplace":  # simply supported: the Laplacian is 0 where u is pinned
-        z_pins = tuple((s, v, 0.0) for s, v, _ in domain.dirichlet)
-    return Scenario(domain, spec.kind, f, reference, z_pins)
+    return Scenario(domain, spec.kind, f, reference)
 
 
 def _with_reference(config, resolution):
@@ -372,11 +368,7 @@ def max_circumradius(mesh):
 def _solve_scenario(scenario, config):
     if scenario.kind == "bilaplace":
         return solve_bilaplace(
-            scenario.domain,
-            config.quadrature,
-            coupling=config.coupling,
-            dirichlet_laplacians=scenario.z_pins,
-            load=scenario.f,
+            scenario.domain, config.quadrature, coupling=config.coupling, load=scenario.f
         )
     return solve_poisson(scenario.domain, config.quadrature, mode=config.coupling, rhs=scenario.f)
 
@@ -550,11 +542,10 @@ def run_penalty_sweep(config):
     L, M = assemble_global(domain, config.quadrature)
     _, C = coupling_for_mode(domain, config.coupling)
     b = M @ np.full(domain.total_vertices, scenario.f)
-    fixed = domain.global_pins(domain.dirichlet)
     rows = []
     for omega in config.penalty_weights:
         Q = L + 2.0 * float(omega) * (C.T @ C)
-        report = solve_kkt(Q, b, fixed=fixed)
+        report = solve_kkt(Q, b, fixed=domain.pins)
         rows.append((float(omega), _linf_error(scenario, report)))
     return rows
 

@@ -210,12 +210,10 @@ class DeconstructedDomain:
     def total_vertices(self):
         return int(self.offsets[-1])
 
-    def global_index(self, sub, vert):
-        return int(self.offsets[sub]) + int(vert)
-
-    def global_pins(self, triples):
-        """(global index, value) of each (subdomain, vertex, value) triple, as in ``dirichlet``."""
-        return [(self.global_index(s, v), float(val)) for s, v, val in triples]
+    @property
+    def pins(self):
+        """(global index, value) of each ``dirichlet`` triple, in order."""
+        return [(int(self.offsets[s]) + int(v), float(val)) for s, v, val in self.dirichlet]
 
     def stacked_vertices(self):
         """All subdomain vertex coordinates stacked in global order, shape (N, d)."""

@@ -327,10 +327,12 @@ def coupling_for_mode(domain, mode):
 def _load_vector(domain, rhs):
     N = domain.total_vertices
     if np.isscalar(rhs):
-        return np.full(N, float(rhs))
+        rhs = np.full(N, float(rhs))
     rhs = np.asarray(rhs, dtype=float)
     if rhs.shape != (N,):
         raise ValueError("per-vertex load must have length %d" % N)
+    if not np.isfinite(rhs).all():
+        raise ValueError("load must be finite")
     return rhs
 
 
@@ -342,8 +344,7 @@ def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
     Q = L if alpha is None else M + alpha * L
-    fixed = domain.global_pins(domain.dirichlet)
-    report = _constrained_solve(Q, M @ f, Amat, None, fixed, _substitution_core)
+    report = _constrained_solve(Q, M @ f, Amat, None, domain.pins, _substitution_core)
     return replace(report, offsets=domain.offsets, constraints=cs)
 
 
@@ -352,17 +353,15 @@ def solve_poisson(domain, quad, mode="boundary_only", rhs=1.0):
     return _coupled_solve(domain, quad, mode, rhs)
 
 
-def implicit_step(domain, quad, mode, alpha, u0, rhs=None):
-    """One implicit step (M + alpha L) u = M rhs with coupling and Dirichlet data.
+def implicit_step(domain, quad, mode, alpha, u0):
+    """One implicit step (M + alpha L) u = M u0 with coupling and Dirichlet data.
 
-    alpha is dt for a heat step; for a wave step pass alpha = dt**2 and
-    rhs = u0 + dt * du0.
+    alpha is dt for a heat step; a wave step passes u0 + dt * du0 as u0, with
+    alpha = dt**2.
     """
-    if alpha <= 0:
-        raise ValueError("alpha must be positive")
-    if rhs is None:
-        rhs = u0
-    return _coupled_solve(domain, quad, mode, rhs, alpha)
+    if not 0 < alpha < np.inf:
+        raise ValueError("alpha must be positive and finite")
+    return _coupled_solve(domain, quad, mode, u0, alpha)
 
 
 def _low_order_rows(domain, cs):
@@ -394,21 +393,14 @@ def _bilaplace_setup(domain, quad, load):
     return (-L).tocsr(), M, M @ _load_vector(domain, load), cs, keep, Avalue[keep]
 
 
-def solve_bilaplace(
-    domain,
-    quad,
-    coupling="high_order",
-    dirichlet_laplacians=None,
-    load=0.0,
-):
+def solve_bilaplace(domain, quad, coupling="high_order", load=0.0):
     """Mixed-FEM squared-Laplacian solve with auxiliary z = laplace(u).
 
     Coupling across subdomains uses boundary-only rows on u alone
     (``value_only``), on u plus one-sided derivatives (``low_order``, 1D), or
-    on u and z (``high_order``). Dirichlet values come from the domain;
-    ``dirichlet_laplacians`` optionally pins z as (subdomain, vertex, value)
-    triples. Unpinned boundaries get natural conditions (boundary terms are
-    dropped).
+    on u and z (``high_order``). Dirichlet values come from the domain, and
+    the boundary is simply supported: z = 0 wherever u is pinned. Unpinned
+    boundaries get natural conditions (boundary terms are dropped).
     """
     if coupling not in BILAPLACE_COUPLINGS:
         raise SolverError("unknown bi-Laplace coupling %r" % (coupling,))
@@ -422,8 +414,8 @@ def solve_bilaplace(
 
     core = sp.bmat([[None, Lp.T], [Lp, -M]])
     rhs = np.concatenate([Mf, np.zeros(N)])
-    fixed = domain.global_pins(domain.dirichlet)
-    fixed += [(N + g, val) for g, val in domain.global_pins(dirichlet_laplacians or ())]
+    pins = domain.pins
+    fixed = pins + [(N + g, 0.0) for g, _ in pins]
     inner = solve_kkt(core, rhs, sp.block_diag([Au, Az]), fixed=fixed)
     return replace(
         inner, u=inner.u[:N], z=inner.u[N:], offsets=domain.offsets, constraints=cs,
@@ -431,42 +423,38 @@ def solve_bilaplace(
     )
 
 
-def solve_bilaplace_convex(domain, quad, dirichlet_laplacians=None, load=0.0):
+def solve_bilaplace_convex(domain, quad, load=0.0):
     """High-order-coupled bi-Laplace as a convex QP min ||y||^2 over (u, lam_z, y).
 
     Equality constraints: A u = 0 and L u + A^T lam_z = sqrt(M) y, with the
-    mass square root taken entrywise on the lumped diagonal. Pinned auxiliary
-    values drop their defining rows and shift the load, mirroring the
-    elimination done by :func:`solve_bilaplace`, so the two solvers agree on
-    shared configurations.
+    mass square root taken entrywise on the lumped diagonal. As in
+    :func:`solve_bilaplace`, z = 0 wherever u is pinned, so those vertices
+    drop their defining rows and the two solvers agree on shared
+    configurations.
     """
     # Avalue^T is the lam_z block: dependent rows leave lam_z free, which -eps I cannot repair.
     Lp, M, Mf, cs, _, Avalue = _bilaplace_setup(domain, quad, load)
     N = domain.total_vertices
     m = Avalue.shape[0]
     mdiag = M.diagonal()
-    z_fixed = np.zeros(N)
+    pins = domain.pins
     z_free = np.ones(N, dtype=bool)
-    for g, val in domain.global_pins(dirichlet_laplacians or ()):
-        z_fixed[g] = val
-        z_free[g] = False
+    z_free[[g for g, _ in pins]] = False
     nu = int(z_free.sum())
     Msqrt_u = sp.diags(np.sqrt(mdiag[z_free]))
 
-    # Variables: (u, lam_z, y over free-z rows).
-    # Objective ||y||^2 - 2 (M f - Lp^T[:, pinned] z_pinned)^T u up to a constant.
-    b_u = 2.0 * (Mf - Lp.T[:, ~z_free] @ z_fixed[~z_free])
+    # Variables: (u, lam_z, y over free-z rows); objective ||y||^2 - 2 (M f)^T u.
     Q = sp.block_diag(
         [sp.csr_matrix((N, N)), sp.csr_matrix((m, m)), 2.0 * sp.eye(nu)], format="csr"
     )
-    b = np.concatenate([b_u, np.zeros(m), np.zeros(nu)])
+    b = np.concatenate([2.0 * Mf, np.zeros(m), np.zeros(nu)])
     top = sp.hstack([Avalue, sp.csr_matrix((m, m + nu))])
     bottom = sp.hstack([Lp[z_free], Avalue.T[z_free], -Msqrt_u])
     A = sp.vstack([top, bottom], format="csr")
     c = np.zeros(m + nu)
-    inner = solve_kkt(Q, b, A, c, fixed=domain.global_pins(domain.dirichlet))
+    inner = solve_kkt(Q, b, A, c, fixed=pins)
 
-    z = z_fixed.copy()
+    z = np.zeros(N)
     z[z_free] = inner.u[N + m :] / np.sqrt(mdiag[z_free])
     return replace(
         inner, u=inner.u[:N], z=z, offsets=domain.offsets, constraints=cs,

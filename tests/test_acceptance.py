@@ -253,45 +253,53 @@ def bilaplace_configurations():
         [generate_segment(0.0, 2.0 / 3.0, n), generate_segment(1.0 / 3.0, 1.0, n)],
         [(0, 0, 0.0), (1, n - 1, 0.0)],
     )
-    seg_pins = ((0, 0, 0.0), (1, n - 1, 0.0))
 
     dup = DeconstructedDomain(
         [generate_segment(0.0, 1.0, n), generate_segment(0.0, 1.0, n)],
         [(s, v, 0.0) for s in (0, 1) for v in (0, n - 1)],
     )
-    dup_pins = tuple((s, v, 0.0) for s in (0, 1) for v in (0, n - 1))
 
     box_a, box_b = box_mesh("box_a"), box_mesh("box_b")
 
     def floor_pins(mesh, s):
-        return tuple(
+        return [
             (s, v, 0.0)
             for v in sorted(boundary_vertices(mesh))
             if mesh.vertices[v, 2] == 0.0
-        )
+        ]
 
-    boxes = DeconstructedDomain(
-        [box_a, box_b], list(floor_pins(box_a, 0) + floor_pins(box_b, 1))
-    )
+    boxes = DeconstructedDomain([box_a, box_b], floor_pins(box_a, 0) + floor_pins(box_b, 1))
     return [
-        ("segments", seg, seg_pins, 24.0),
-        ("duplicated", dup, dup_pins, 24.0),
-        ("boxes", boxes, floor_pins(box_a, 0) + floor_pins(box_b, 1), 1.0),
+        ("segments", seg, 24.0),
+        ("duplicated", dup, 24.0),
+        ("boxes", boxes, 1.0),
     ]
 
 
 class TestConvexEquivalence:
     @pytest.mark.parametrize(
-        "name,domain,z_pins,load",
+        "name,domain,load",
         bilaplace_configurations(),
         ids=[c[0] for c in bilaplace_configurations()],
     )
-    def test_kkt_matches_convex(self, name, domain, z_pins, load):
-        kkt = solve_bilaplace(domain, QUAD, "high_order", z_pins, load=load)
-        convex = solve_bilaplace_convex(domain, QUAD, z_pins, load=load)
+    def test_kkt_matches_convex(self, name, domain, load):
+        kkt = solve_bilaplace(domain, QUAD, "high_order", load=load)
+        convex = solve_bilaplace_convex(domain, QUAD, load=load)
         scale = np.abs(kkt.u).max()
         assert scale > 0
         assert np.abs(kkt.u - convex.u).max() <= 1e-8 * scale
+
+
+class TestSimplySupported:
+    """Both bi-Laplace solvers pin z = laplace(u) to 0 wherever u is pinned."""
+
+    @pytest.mark.parametrize("name", ["segments", "boxes"])
+    def test_z_is_zero_where_u_is_pinned(self, name):
+        [(_, domain, load)] = [c for c in bilaplace_configurations() if c[0] == name]
+        pinned = [g for g, _ in domain.pins]
+        for solve in (solve_bilaplace, solve_bilaplace_convex):
+            z = solve(domain, QUAD, load=load).z
+            assert (z[pinned] == 0.0).all(), solve.__name__
 
 
 class TestBilaplaceRowReduction:
@@ -301,14 +309,13 @@ class TestBilaplaceRowReduction:
         oracle = TestDuplicatedMeshOracle()
         make_box, box_pins = oracle.cases()[1]
         _, dup_box = oracle.single_and_duplicated(make_box, box_pins)
-        dup_box_pins = tuple((s, v, 0.0) for s in (0, 1) for v, _ in box_pins)
         expected = {"segments": (2, 0), "duplicated": (0, 0), "boxes": (22, 10),
                     "duplicated_box": (34, 17)}
         configurations = bilaplace_configurations()
-        configurations.append(("duplicated_box", dup_box, dup_box_pins, 1.0))
-        for name, domain, z_pins, load in configurations:
-            kkt = solve_bilaplace(domain, QUAD, "high_order", z_pins, load=load)
-            convex = solve_bilaplace_convex(domain, QUAD, z_pins, load=load)
+        configurations.append(("duplicated_box", dup_box, 1.0))
+        for name, domain, load in configurations:
+            kkt = solve_bilaplace(domain, QUAD, "high_order", load=load)
+            convex = solve_bilaplace_convex(domain, QUAD, load=load)
             rows, dropped = expected[name]
             assert (len(kkt.constraints), kkt.dropped_rows) == (rows, dropped), name
             assert len(convex.multipliers) == rows - dropped, name
@@ -359,10 +366,8 @@ class TestDuplicatedMeshOracle:
             )
             assert self.split_error(dup, one.u, two.u) <= 1e-9
 
-            z_single = [(0, v, 0.0) for v, _ in pins]
-            z_dup = [(s, v, 0.0) for s in (0, 1) for v, _ in pins]
-            one = solve_bilaplace(single, QUAD, "high_order", z_single, load=1.0)
-            two = solve_bilaplace(dup, QUAD, "high_order", z_dup, load=1.0)
+            one = solve_bilaplace(single, QUAD, "high_order", load=1.0)
+            two = solve_bilaplace(dup, QUAD, "high_order", load=1.0)
             assert self.split_error(dup, one.u, two.u) <= 1e-9
 
     def test_total_adjusted_volume_is_preserved(self):

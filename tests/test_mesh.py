@@ -287,10 +287,10 @@ class TestDeconstructedDomain:
     def test_offsets_and_global_index(self):
         a = generate_segment(0.0, 1.0, 4)
         b = generate_segment(0.5, 1.5, 6)
-        dom = DeconstructedDomain([a, b])
+        dom = DeconstructedDomain([a, b], [(1, 5, -0.5), (0, 0, 2)])
         np.testing.assert_array_equal(dom.offsets, [0, 4, 10])
         assert dom.total_vertices == 10
-        assert dom.global_index(1, 2) == 6
+        assert dom.pins == [(9, -0.5), (0, 2.0)]
         assert dom.stacked_vertices().shape == (10, 1)
 
     def test_no_subdomains_rejected(self):

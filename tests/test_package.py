@@ -3,6 +3,7 @@ import importlib
 import json
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -107,3 +108,12 @@ def test_substitution_commands_do_not_load_the_factorization_stack(tmp_path):
     assert imported == solved == sparse
     if all(sparse):
         pytest.skip("this SciPy's scipy.sparse already imports scipy.sparse.linalg")
+
+
+def test_readme_python_blocks_run():
+    # The README example calls the public API; it runs as written.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"^```python\n(.*?)^```", readme, re.M | re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})

@@ -171,8 +171,12 @@ class TestPoisson:
     @pytest.mark.parametrize("solve", [solve_poisson, solve_bilaplace, solve_bilaplace_convex])
     def test_per_vertex_load_of_wrong_length_rejected(self, solve):
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)], [(0, 0, 0.0), (0, 4, 0.0)])
-        with pytest.raises(ValueError, match="per-vertex load must have length 5"):
-            solve(dom, QUAD, **{"rhs" if solve is solve_poisson else "load": np.ones(4)})
+        cases = [(np.ones(4), "per-vertex load must have length 5"),
+                 (np.nan, "load must be finite"),
+                 (np.array([0.0, 1.0, np.nan, 1.0, 0.0]), "load must be finite")]
+        for load, message in cases:
+            with pytest.raises(ValueError, match=message):
+                solve(dom, QUAD, **{"rhs" if solve is solve_poisson else "load": load})
 
     def test_unknown_mode_rejected(self):
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
@@ -195,23 +199,21 @@ class TestImplicitStep:
 
     def test_nonpositive_alpha_rejected(self):
         dom = DeconstructedDomain([generate_segment(0.0, 1.0, 5)])
-        with pytest.raises(ValueError):
-            implicit_step(dom, QUAD, "none", 0.0, np.zeros(5))
+        for alpha in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError, match="alpha must be positive and finite"):
+                implicit_step(dom, QUAD, "none", alpha, np.zeros(5))
 
 
 class TestBilaplace:
     def quartic_domain(self, n):
         a = generate_segment(0.0, 2.0 / 3.0, n)
         b = generate_segment(1.0 / 3.0, 1.0, n)
-        dom = DeconstructedDomain(
-            [a, b], [(0, 0, 0.0), (1, n - 1, 0.0)]
-        )
-        return dom, ((0, 0, 0.0), (1, n - 1, 0.0))
+        return DeconstructedDomain([a, b], [(0, 0, 0.0), (1, n - 1, 0.0)])
 
     def test_high_order_matches_quartic(self):
         n = 80
-        dom, z_pins = self.quartic_domain(n)
-        rep = solve_bilaplace(dom, QUAD, "high_order", z_pins, load=24.0)
+        dom = self.quartic_domain(n)
+        rep = solve_bilaplace(dom, QUAD, "high_order", load=24.0)
         s = dom.stacked_vertices()[:, 0]
         exact = s**4 - 2 * s**3 + s
         assert np.abs(rep.u - exact).max() < 1e-3
@@ -238,14 +240,14 @@ class TestBilaplace:
         np.testing.assert_allclose(rows @ u, expected, rtol=0, atol=1e-12)
 
     def test_unknown_coupling_rejected(self):
-        dom, _ = self.quartic_domain(10)
+        dom = self.quartic_domain(10)
         with pytest.raises(SolverError):
             solve_bilaplace(dom, QUAD, "medium_order")
 
     def test_convex_solver_agrees(self):
-        dom, z_pins = self.quartic_domain(30)
-        kkt = solve_bilaplace(dom, QUAD, "high_order", z_pins, load=24.0)
-        convex = solve_bilaplace_convex(dom, QUAD, z_pins, load=24.0)
+        dom = self.quartic_domain(30)
+        kkt = solve_bilaplace(dom, QUAD, "high_order", load=24.0)
+        convex = solve_bilaplace_convex(dom, QUAD, load=24.0)
         scale = np.abs(kkt.u).max()
         assert np.abs(kkt.u - convex.u).max() <= 1e-8 * scale
         np.testing.assert_allclose(convex.z, kkt.z, atol=1e-6 * scale)
@@ -369,7 +371,7 @@ def saddle_reference(domain, mode, form, rhs):
     """solve_kkt on the same form, load, rows and pins: the saddle factorization's answer."""
     L, M = assemble_global(domain, QUAD)
     _, A = coupling_for_mode(domain, mode)
-    return solve_kkt(form(L, M), M @ rhs, A, fixed=domain.global_pins(domain.dirichlet))
+    return solve_kkt(form(L, M), M @ rhs, A, fixed=domain.pins)
 
 
 def assert_close(u, reference):
@@ -387,7 +389,7 @@ def assert_path(report, mode):
 
 class TestSolvePaths:
     @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
-    def test_pinned_poisson_takes_dual_cg(self, name):
+    def test_pinned_poisson_matches_saddle_qd(self, name):
         build, mode = DEFINITE_FIXTURES[name]
         domain = build()
         rhs = np.ones(domain.total_vertices)
@@ -400,7 +402,7 @@ class TestSolvePaths:
         assert rep.stationarity_residual <= 1e-8
 
     @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
-    def test_implicit_step_takes_dual_cg(self, name):
+    def test_implicit_step_matches_saddle_qd(self, name):
         build, mode = DEFINITE_FIXTURES[name]
         domain = build()
         u0 = np.sin(np.arange(domain.total_vertices))
@@ -487,11 +489,10 @@ class TestSolvePaths:
         s = domain.stacked_vertices()[:, 0]
         np.testing.assert_allclose(rep.u, s * (1 - s) / 2, atol=1e-12)
 
-    def test_bilaplace_penalty_and_direct_solves_take_saddle_lu(self, monkeypatch):
+    def test_bilaplace_takes_saddle_lu_and_penalty_takes_saddle_qd(self, monkeypatch):
         domain = pinned_segments()
-        z_pins = ((0, 0, 0.0), (1, 20, 0.0))
-        assert solve_bilaplace(domain, QUAD, "high_order", z_pins, load=24.0).path == "saddle_lu"
-        assert solve_bilaplace_convex(domain, QUAD, z_pins, load=24.0).path == "saddle_lu"
+        assert solve_bilaplace(domain, QUAD, "high_order", load=24.0).path == "saddle_lu"
+        assert solve_bilaplace_convex(domain, QUAD, load=24.0).path == "saddle_lu"
         paths = []
 
         def recording(*args, **kwargs):
@@ -614,7 +615,7 @@ def annulus_saddle(m):
     report = solve_poisson(domain, QUAD, "all_vertices")
     L, M = assemble_global(domain, QUAD)
     _, A = coupling_for_mode(domain, "all_vertices")
-    pinned, values = (np.array(column) for column in zip(*domain.global_pins(domain.dirichlet)))
+    pinned, values = (np.array(column) for column in zip(*domain.pins))
     pinned = pinned.astype(int)
     free = np.ones(domain.total_vertices, dtype=bool)
     free[pinned] = False
