@@ -70,7 +70,7 @@ class SolveReport:
     stationarity_residual: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
-    # "saddle_qd" (Q's diagonal positive), "saddle_lu", "saddle_lu_eps" or "substitution_cg"
+    # "substitution_cg", else the saddle path "saddle_qd" (diag Q > 0), "saddle_lu", "saddle_lu_eps"
     path: str = None
     iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle factorizations
     factor_nnz: int = 0  # stored entries of L and U behind the solution; 0 on substitution_cg
@@ -175,46 +175,55 @@ class _SaddleSolver:
 
 
 def _saddle_core(Q, A, b, c):
-    """(u, multipliers, path, iterations, factor_nnz) of the saddle system by
-    :class:`_SaddleSolver`."""
+    """(u, multipliers, path, 0, factor_nnz) of the saddle system by :class:`_SaddleSolver`."""
     saddle = _SaddleSolver(Q, A)
-    x = saddle.solve(np.concatenate([b, c]))
-    n = Q.shape[0]
-    return x[:n], x[n:], saddle.path, 0, saddle.factor_nnz
+    u, multipliers = np.split(saddle.solve(np.concatenate([b, c])), [Q.shape[0]])
+    return u, multipliers, saddle.path, 0, saddle.factor_nnz
 
 
-def _substitution_core(Q, A, b, c):
-    """(u, multipliers, path, iterations, 0) by eliminating one variable per row.
+def _eliminate(A):
+    """(Z, E, leftover) of one variable eliminated per row of A that has a pivot
+    of its own (multipoint constraints: Abel & Shephard, IJNME 14, 1979).
 
     A row's pivot is its largest coefficient: the target's +1, as the anchor
-    coefficients enter as -beta with beta <= 1. When no other row touches a
-    pivot column, the pivots are slaves and the other columns masters, and
-    u = Z w + z0 meets A u = c for every w (multipoint constraints: Abel &
-    Shephard, IJNME 14, 1979). Then w solves Z^T Q Z w = Z^T (b - Q z0) by
-    Jacobi-preconditioned CG, and the multiplier of a row is (b - Q u) at its
-    pivot over the pivot coefficient. Rows that share a pivot column
-    (all_vertices rows, a target coupled to several subdomains) go to
-    :func:`_saddle_core`. CG that has not converged in ``CG_MAX_ITERATIONS``
-    raises :class:`SolverError`.
+    coefficients enter as -beta with beta <= 1. A row whose pivot column no
+    other row touches is substituted: its pivot is a slave, u = Z w + E c meets
+    it for every w, and E (the row over its pivot coefficient, in the slave's
+    row) gives its multiplier E^T (b - Q u). The ``leftover`` rows (all_vertices
+    rows, whose targets anchor each other's rows, and a target coupled to
+    several subdomains) touch no slave column. Empty rows are neither.
     """
     R = A.copy()
     R.eliminate_zeros()
     m, n = R.shape
     lengths = np.diff(R.indptr)
+    rows = np.flatnonzero(lengths)
     # Sorting by row, then by descending value, keeps each row's CSR block in place.
-    pivot = np.lexsort((-R.data, np.repeat(np.arange(m), lengths)))[R.indptr[:-1]]
+    pivot = np.lexsort((-R.data, np.repeat(np.arange(m), lengths)))[R.indptr[rows]]
     slave = R.indices[pivot]
-    if (np.bincount(R.indices, minlength=n)[slave] > 1).any():
-        return _saddle_core(Q, A, b, c)
-    master = np.ones(n, dtype=bool)
-    master[slave] = False
-    # E puts row r, divided by its pivot coefficient, in the row of its slave.
-    E = sp.csr_matrix((1.0 / R.data[pivot], (slave, np.arange(m))), shape=(n, m))
-    Z = (sp.eye(n, format="csr") - E @ R)[:, master]
-    z0 = E @ c
-    w, iterations = _jacobi_cg(Z.T @ Q @ Z, Z.T @ (b - Q @ z0))
+    alone = np.bincount(R.indices, minlength=n)[slave] == 1
+    E = sp.csr_matrix((1.0 / R.data[pivot[alone]], (slave[alone], rows[alone])), shape=(n, m))
+    master = np.bincount(slave[alone], minlength=n) == 0
+    return (sp.eye(n, format="csr") - E @ R)[:, master], E, rows[~alone]
+
+
+def _substitution_core(Q, A, b, c):
+    """(u, multipliers, path, iterations, factor_nnz) over u = Z w + E c of
+    :func:`_eliminate`: Jacobi-preconditioned CG on Z^T Q Z w = Z^T (b - Q E c)
+    (``substitution_cg``, :class:`SolverError` after ``CG_MAX_ITERATIONS``), or
+    :func:`_saddle_core` on it under the leftover rows A_l of A: A_l Z w = c_l - A_l E c.
+    """
+    Z, E, left = _eliminate(A)
+    z0, Al = E @ c, A[left]
+    Qw, bw = Z.T @ Q @ Z, Z.T @ (b - Q @ z0)
+    if left.size:
+        w, lam, path, iterations, factor_nnz = _saddle_core(Qw, Al @ Z, bw, c[left] - Al @ z0)
+    else:
+        (w, iterations), lam, path, factor_nnz = _jacobi_cg(Qw, bw), [], "substitution_cg", 0
     u = Z @ w + z0
-    return u, E.T @ (b - Q @ u), "substitution_cg", iterations, 0
+    multipliers = E.T @ (b - Q @ u)
+    multipliers[left] = lam
+    return u, multipliers, path, iterations, factor_nnz
 
 
 def _jacobi_cg(K, rhs):
@@ -465,33 +474,36 @@ def solve_bilaplace_convex(domain, quad, load=0.0):
 def constrained_modes(L, M, A, k):
     """Smallest k generalized eigenpairs of (L, M) restricted to null(A).
 
-    Shift-invert Lanczos (``eigsh``) on the pencil ([L A^T; A 0], [M 0; 0 0])
-    at sigma = -tr(L) / (tr(M) N), below the spectrum and scaled with it; the
-    inverse operator is :class:`_SaddleSolver` on L - sigma M (Lehoucq,
-    Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, ch. 3-4). Returns a
-    list of (eigenvalue, eigenvector), eigenvalues nondecreasing. Raises
-    :class:`SolverError` unless k is below N minus the distinct rows of A.
+    The eigenvectors are Z w with B w = 0, B = A[leftover] Z (:func:`_eliminate`).
+    Shift-invert Lanczos (``eigsh``) on ([Z^T L Z B^T; B 0], [Z^T M Z 0; 0 0])
+    at sigma = -tr(L) / (tr(M) N), below the spectrum and scaled with it, has
+    :class:`_SaddleSolver` on Z^T (L - sigma M) Z and B as inverse operator
+    (Lehoucq, Sorensen & Yang, ARPACK Users' Guide, SIAM 1998, ch. 3-4). Returns
+    a list of (eigenvalue, eigenvector), eigenvalues nondecreasing. Raises
+    :class:`SolverError` unless k is below the dimension of null(A).
     """
     L, M = sp.csr_matrix(L), sp.csr_matrix(M)
     N = L.shape[0]
     A = sp.csr_matrix((0, N)) if A is None else sp.csr_matrix(A)
     sigma = -L.diagonal().sum() / (M.diagonal().sum() * N)
     A = A[_distinct_rows(A)]
-    m = A.shape[0]
-    if k >= N - m:
-        raise SolverError("%d modes need more than the %d degrees of freedom left" % (k, N - m))
+    Z, _, leftover = _eliminate(A)
+    B = A[leftover] @ Z
+    m, n = B.shape
+    if k >= n - m:
+        raise SolverError("%d modes need more than the %d degrees of freedom left" % (k, n - m))
     # A fixed-seed random start keeps the output reproducible (all ones is the
     # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
-    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n + m)
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-    saddle = _SaddleSolver(L - sigma * M, A)
-    OPinv = LinearOperator((N + m,) * 2, matvec=saddle.solve, dtype=float)
+    saddle = _SaddleSolver(Z.T @ (L - sigma * M) @ Z, B)
+    OPinv = LinearOperator((n + m,) * 2, matvec=saddle.solve, dtype=float)
     try:
         # In shift-invert mode eigsh reads only the shape and dtype of its first argument.
         vals, vecs = eigsh(
-            OPinv, k, M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
-            OPinv=OPinv, ncv=min(N - m, max(2 * k + 1, 20)),
+            OPinv, k, M=sp.block_diag([Z.T @ M @ Z, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
+            OPinv=OPinv, ncv=min(n - m, max(2 * k + 1, 20)),
         )
     except ArpackError as exc:
         raise SolverError("eigensolver failed: %s" % exc) from None
-    return [(float(vals[i]), vecs[:N, i]) for i in np.argsort(vals)]
+    return [(float(vals[i]), Z @ vecs[:n, i]) for i in np.argsort(vals)]

@@ -12,6 +12,7 @@ from overlapfem import MeshError, SimplicialMesh
 from overlapfem.fem import _hat_gradients
 from overlapfem.geometry import CONTAINMENT_TOL, locate_points, simplex_coordinates
 from overlapfem.mesh import _boundary_facet_array, _polar_grid_triangles
+from overlapfem.solver import _SaddleSolver, _distinct_rows
 
 
 class GeometryError(ValueError):
@@ -199,3 +200,26 @@ def traced_transient(build):
     finally:
         tracemalloc.stop()
     return out, peak - current
+
+
+def saddle_pencil_modes(L, M, A, k):
+    """Reference for ``solver.constrained_modes``: (eigenvalues, eigenvectors as
+    columns) by shift-invert Lanczos on the full pencil ([L A^T; A 0],
+    [M 0; 0 0]) over the distinct rows of A, with :class:`_SaddleSolver` on
+    L - sigma M and A as the inverse operator; no variable is eliminated."""
+    from scipy.sparse.linalg import LinearOperator, eigsh
+
+    L, M = sp.csr_matrix(L), sp.csr_matrix(M)
+    N = L.shape[0]
+    A = sp.csr_matrix((0, N)) if A is None else sp.csr_matrix(A)
+    A = A[_distinct_rows(A)]
+    m = A.shape[0]
+    sigma = -L.diagonal().sum() / (M.diagonal().sum() * N)
+    v0 = np.random.default_rng(0).uniform(-1.0, 1.0, N + m)
+    OPinv = LinearOperator((N + m,) * 2, matvec=_SaddleSolver(L - sigma * M, A).solve, dtype=float)
+    vals, vecs = eigsh(
+        OPinv, k, M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0, OPinv=OPinv,
+        ncv=min(N - m, max(2 * k + 1, 20)),
+    )
+    order = np.argsort(vals)
+    return vals[order], vecs[:N, order]

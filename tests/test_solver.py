@@ -31,6 +31,7 @@ from overlapfem import (
 from overlapfem import harness, solver
 from overlapfem.solver import BILAPLACE_COUPLINGS, coupling_for_mode
 from test_geometry import MESHES
+from reference import saddle_pencil_modes
 
 QUAD = QuadratureSpec.corner_average()
 DATA = Path(__file__).parent / "data"
@@ -253,6 +254,51 @@ class TestBilaplace:
         np.testing.assert_allclose(convex.z, kkt.z, atol=1e-6 * scale)
 
 
+def floating_segments(n=31):
+    """Three segments, the middle one holding no Dirichlet vertex. The right
+    end of the first segment and the left end of the last are each the target
+    of two rows, so those rows have no pivot of their own."""
+    meshes = [generate_segment(lo, lo + 0.6, n) for lo in (0.0, 0.2, 0.4)]
+    return DeconstructedDomain(meshes, [(0, 0, 0.0), (2, n - 1, 0.0)])
+
+
+def coupled_forms(domain, mode):
+    L, M = assemble_global(domain, QUAD)
+    return L, M, coupling_for_mode(domain, mode)[1]
+
+
+def annulus_forms(mode):
+    return coupled_forms(build_scenario(ExperimentConfig("annulus2d_poisson"), 2).domain, mode)
+
+
+def segment_forms_with_empty_row(empty=1):
+    """The 31-vertex unit segment, with the rows u_0 = 0 and an empty one as
+    row ``empty``."""
+    n = 31
+    L, M = assemble_global(DeconstructedDomain([generate_segment(0.0, 1.0, n)]), QUAD)
+    return L, M, sp.csr_matrix(([1.0], ([1 - empty], [0])), shape=(2, n))
+
+
+# (L, M, A) of constrained_modes cases, by how many rows elimination leaves.
+MODES_CASES = {
+    "annulus_boundary_only": lambda: annulus_forms("boundary_only"),  # none
+    "annulus_all_vertices": lambda: annulus_forms("all_vertices"),  # most
+    "floating_segments": lambda: coupled_forms(floating_segments(), "boundary_only"),  # four
+    "empty_row": segment_forms_with_empty_row,  # none; the empty row is neither
+}
+
+
+def assert_constrained_eigenpair(L, M, A, value, vec):
+    """vec lies in null(A), and L vec - value M vec in range(A^T): its part in
+    null(A), r - A^T (A A^T)^-1 A r over the nonempty rows of A, vanishes
+    against ||L|| ||vec|| (max norms)."""
+    assert np.abs(A @ vec).max() <= 1e-9 * np.abs(vec).max()
+    r = L @ vec - value * (M @ vec)
+    A = A[np.diff(A.indptr) > 0]
+    s = r - A.T @ splu((A @ A.T).tocsc()).solve(A @ r)
+    assert np.abs(s).max() <= 1e-9 * abs(L).sum(axis=1).max() * np.abs(vec).max()
+
+
 class TestConstrainedModes:
     def test_segment_neumann_spectrum(self):
         n = 61
@@ -314,6 +360,24 @@ class TestConstrainedModes:
             values = self.scaled_annulus_modes(s)
             assert abs(values[0]) <= 1e-8, s
             np.testing.assert_allclose(values[1:], reference[1:], rtol=1e-9, err_msg=str(s))
+
+    @pytest.mark.parametrize("empty", [0, 1])
+    def test_empty_rows_constrain_nothing(self, empty):
+        # The spectrum of u_0 = 0 alone, about (pi (j + 1/2))^2.
+        values = [v for v, _ in constrained_modes(*segment_forms_with_empty_row(empty), 3)]
+        np.testing.assert_allclose(values, [2.466837, 22.160987, 61.333513], rtol=1e-6)
+
+    @pytest.mark.parametrize("name", sorted(MODES_CASES))
+    def test_matches_saddle_pencil(self, name):
+        L, M, A = MODES_CASES[name]()
+        pairs = constrained_modes(L, M, A, 6)
+        reference, _ = saddle_pencil_modes(L, M, A, 6)
+        values = np.array([v for v, _ in pairs])
+        zero = np.abs(reference) <= 1e-8
+        assert (np.abs(values[zero]) <= 1e-8).all()
+        np.testing.assert_allclose(values[~zero], reference[~zero], rtol=1e-9)
+        for value, vec in pairs:
+            assert_constrained_eigenpair(L, M, A, value, vec)
 
 
 class TestCouplingForMode:
@@ -387,6 +451,22 @@ def assert_path(report, mode):
         assert report.path == "substitution_cg" and report.iterations > 0
 
 
+def moved_copies(mesh, moves, pin_value):
+    """The mesh and one copy per (shift, scale) in ``moves``, scaled about the
+    mesh's low corner and moved by ``shift`` of its bounding-box diagonal. Each
+    mesh pins its lowest-index boundary vertex to ``pin_value(coordinates)``."""
+    lo, hi = mesh.bbox()
+    meshes = [mesh] + [
+        SimplicialMesh(mesh.dim, lo + scale * (mesh.vertices - lo) + shift * (hi - lo),
+                       mesh.simplices)
+        for shift, scale in moves
+    ]
+    pin = min(boundary_vertices(mesh))
+    return DeconstructedDomain(
+        meshes, [(k, pin, float(pin_value(m.vertices[pin]))) for k, m in enumerate(meshes)]
+    )
+
+
 class TestSolvePaths:
     @pytest.mark.parametrize("name", sorted(DEFINITE_FIXTURES))
     def test_pinned_poisson_matches_saddle_qd(self, name):
@@ -416,16 +496,51 @@ class TestSolvePaths:
         assert rep.path == "substitution_cg" and rep.iterations > 0
 
     def test_floating_subdomain_takes_saddle_qd(self):
-        # The middle segment holds no Dirichlet vertex. The right end of the
-        # first segment and the left end of the last are each the target of
-        # two rows, so those rows have no pivot of their own.
-        n = 31
-        meshes = [generate_segment(lo, lo + 0.6, n) for lo in (0.0, 0.2, 0.4)]
-        domain = DeconstructedDomain(meshes, [(0, 0, 0.0), (2, n - 1, 0.0)])
+        # The rows that share a target are left over; the others are substituted.
+        domain = floating_segments()
         rep = solve_poisson(domain, QUAD, "boundary_only")
+        ref = saddle_reference(domain, "boundary_only", lambda L, M: L,
+                               np.ones(domain.total_vertices))
         assert rep.path == "saddle_qd" and rep.iterations == 0
+        assert_close(rep.u, ref.u)
+        assert_close(rep.multipliers, ref.multipliers)
         s = domain.stacked_vertices()[:, 0]
         assert np.abs(rep.u - s * (1 - s) / 2).max() < 1e-3
+
+        cs, A = coupling_for_mode(domain, "boundary_only")
+        free = np.ones(domain.total_vertices, dtype=bool)
+        free[[g for g, _ in domain.pins]] = False
+        keep = solver._distinct_rows(A[:, free])
+        _, E, leftover = solver._eliminate(A[:, free][keep])
+        targets = [tuple(t) for t in cs.target[keep].tolist()]
+        shared = [r for r, t in enumerate(targets) if targets.count(t) == 2]
+        np.testing.assert_array_equal(leftover, shared)
+        assert len(shared) == 4 and len(set(targets[r] for r in shared)) == 2
+        slaves = E.tocoo().row
+        assert not A[:, free][keep][leftover][:, slaves].count_nonzero()
+
+    @pytest.mark.parametrize("c", [0.0, 1.0])
+    def test_empty_row_constrains_nothing(self, c):
+        # Only a direct call brings an empty row to the substitution core: every
+        # coupling row keeps its +1 on an unpinned target. The feasibility check
+        # on all rows still rejects c != 0 there.
+        domain = pinned_segments()
+        L, M = assemble_global(domain, QUAD)
+        _, A = coupling_for_mode(domain, "boundary_only")
+        A = sp.vstack([A, sp.csr_matrix((1, domain.total_vertices))], format="csr")
+        b, rows = M @ np.ones(domain.total_vertices), np.r_[np.zeros(A.shape[0] - 1), c]
+
+        def solve():
+            return solver._constrained_solve(L, b, A, rows, domain.pins, solver._substitution_core)
+
+        if c:
+            with pytest.raises(SolverError, match="infeasible"):
+                solve()
+            return
+        rep, ref = solve(), solve_poisson(domain, QUAD, "boundary_only")
+        assert rep.path == "substitution_cg" and rep.multipliers[-1] == 0.0
+        np.testing.assert_array_equal(rep.u, ref.u)
+        np.testing.assert_array_equal(rep.multipliers[:-1], ref.multipliers)
 
     def test_floating_subdomain_with_pivots_substitutes(self):
         # The second segment holds no Dirichlet vertex; the row that targets
@@ -452,21 +567,15 @@ class TestSolvePaths:
         alpha=st.sampled_from([None, 1e-3, 1.0]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_matches_saddle_lu_property(self, mesh, moves, alpha, seed):
+    def test_matches_saddle_qd_property(self, mesh, moves, alpha, seed):
         # The drawn mesh and one or two copies, each scaled about its low
         # corner and moved along its bounding-box diagonal; every mesh has
-        # its lowest-index boundary vertex pinned.
-        lo, hi = mesh.bbox()
-        copies = [
-            SimplicialMesh(mesh.dim, lo + scale * (mesh.vertices - lo) + shift * (hi - lo),
-                           mesh.simplices)
-            for shift, scale in moves
-        ]
+        # its lowest-index boundary vertex pinned to the value of one random
+        # affine function there. The rows reproduce affine functions, so that
+        # function meets every row and pin: each draw is feasible.
         rng = np.random.default_rng(seed)
-        pin = min(boundary_vertices(mesh))
-        domain = DeconstructedDomain(
-            [mesh, *copies], [(k, pin, rng.uniform(-1.0, 1.0)) for k in range(len(moves) + 1)]
-        )
+        coefficients = rng.uniform(-1.0, 1.0, mesh.dim + 1)
+        domain = moved_copies(mesh, moves, lambda x: coefficients[0] + coefficients[1:] @ x)
         rhs = rng.uniform(-1.0, 1.0, domain.total_vertices)
         if alpha is None:
             rep = solve_poisson(domain, QUAD, "boundary_only", rhs)
@@ -475,6 +584,19 @@ class TestSolvePaths:
             rep = implicit_step(domain, QUAD, "boundary_only", alpha, rhs)
             ref = saddle_reference(domain, "boundary_only", lambda L, M: M + alpha * L, rhs)
         assert_close(rep.u, ref.u)
+
+    def test_inconsistent_pins_raise(self):
+        # Pins drawn independently per mesh: 24 distinct boundary-only rows on
+        # 21 free values, of rank 21, that no u meets (the least-squares
+        # residual is 0.033 in the max norm).
+        rng = np.random.default_rng(0)
+        domain = moved_copies(generate_annulus(1.0, 11.0, 1, 4, 1.0), [(0.25, 1.0), (0.125, 1.0)],
+                              lambda x: rng.uniform(-1.0, 1.0))
+        rhs = rng.uniform(-1.0, 1.0, domain.total_vertices)
+        with pytest.raises(SolverError):
+            solve_poisson(domain, QUAD, "boundary_only", rhs)
+        with pytest.raises(SolverError):
+            saddle_reference(domain, "boundary_only", lambda L, M: L, rhs)
 
     def test_coincident_copies_take_saddle_qd(self):
         # Under all_vertices the rows u_a - u_b, u_a - u_c, u_b - u_c at each
