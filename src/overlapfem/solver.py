@@ -5,7 +5,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import scipy.sparse as sp
 # scipy.sparse.linalg (SuperLU, ARPACK and scipy.linalg) is imported where a factorization
-# or eigensolve runs: a process whose solves all take the substitution core never loads it.
+# or eigensolve runs: a process whose solves all take substitution_cg never loads it.
 
 from .coupling import (
     ALL_VERTICES,
@@ -29,7 +29,7 @@ __all__ = [
 ]
 
 FEASIBILITY_TOL = 1e-9
-# The substitution core's CG stops at this residual relative to its
+# The CG of substitution_cg stops at this residual relative to its
 # right-hand side Z^T (b - Q z0).
 CG_RTOL = 1e-12
 # Jacobi-preconditioned CG needs a number of iterations that grows like 1/h:
@@ -70,7 +70,8 @@ class SolveReport:
     stationarity_residual: float = 0.0
     constraints: object = None
     dropped_rows: int = 0
-    # "substitution_cg", else the saddle path "saddle_qd" (diag Q > 0), "saddle_lu", "saddle_lu_eps"
+    # "substitution_cg" (no row left over), else the saddle factorization's, of Q and the rows
+    # or of the reduced system: "saddle_qd" (diag Q > 0), "saddle_lu" or "saddle_lu_eps"
     path: str = None
     iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle factorizations
     factor_nnz: int = 0  # stored entries of L and U behind the solution; 0 on substitution_cg
@@ -80,7 +81,7 @@ class SolveReport:
 
 
 def _distinct_rows(A):
-    """Indices of the rows of A that do not repeat an earlier row up to sign.
+    """Indices of the nonempty rows of A that do not repeat an earlier row up to sign.
 
     Reciprocal coupling rows at coincident vertices are exact negations of
     each other, so this finds them without factorizing A.
@@ -94,7 +95,7 @@ def _distinct_rows(A):
     negative[lengths > 0] = A.data[starts[lengths > 0]] < 0
     # Rows are compared bit for bit, after a sign flip that makes the first value positive.
     values = np.where(np.repeat(negative, lengths), -A.data, A.data).view(np.int64)
-    keep = [np.flatnonzero(lengths == 0)[:1]]
+    keep = [np.zeros(0, dtype=np.int64)]
     for n in np.unique(lengths[lengths > 0]):
         rows = np.flatnonzero(lengths == n)
         at = starts[rows, None] + np.arange(n)
@@ -174,13 +175,6 @@ class _SaddleSolver:
         return x, residual
 
 
-def _saddle_core(Q, A, b, c):
-    """(u, multipliers, path, 0, factor_nnz) of the saddle system by :class:`_SaddleSolver`."""
-    saddle = _SaddleSolver(Q, A)
-    u, multipliers = np.split(saddle.solve(np.concatenate([b, c])), [Q.shape[0]])
-    return u, multipliers, saddle.path, 0, saddle.factor_nnz
-
-
 def _eliminate(A):
     """(Z, E, leftover) of one variable eliminated per row of A that has a pivot
     of its own (multipoint constraints: Abel & Shephard, IJNME 14, 1979).
@@ -191,39 +185,21 @@ def _eliminate(A):
     it for every w, and E (the row over its pivot coefficient, in the slave's
     row) gives its multiplier E^T (b - Q u). The ``leftover`` rows (all_vertices
     rows, whose targets anchor each other's rows, and a target coupled to
-    several subdomains) touch no slave column. Empty rows are neither.
+    several subdomains) touch no slave column. With no row substituted, Z and E
+    are None. Every row must hold a nonzero, as :func:`_distinct_rows` leaves it.
     """
     R = A.copy()
     R.eliminate_zeros()
     m, n = R.shape
-    lengths = np.diff(R.indptr)
-    rows = np.flatnonzero(lengths)
     # Sorting by row, then by descending value, keeps each row's CSR block in place.
-    pivot = np.lexsort((-R.data, np.repeat(np.arange(m), lengths)))[R.indptr[rows]]
+    pivot = np.lexsort((-R.data, np.repeat(np.arange(m), np.diff(R.indptr))))[R.indptr[:-1]]
     slave = R.indices[pivot]
-    alone = np.bincount(R.indices, minlength=n)[slave] == 1
-    E = sp.csr_matrix((1.0 / R.data[pivot[alone]], (slave[alone], rows[alone])), shape=(n, m))
+    alone = np.flatnonzero(np.bincount(R.indices, minlength=n)[slave] == 1)
+    if not alone.size:
+        return None, None, np.arange(m)
+    E = sp.csr_matrix((1.0 / R.data[pivot[alone]], (slave[alone], alone)), shape=(n, m))
     master = np.bincount(slave[alone], minlength=n) == 0
-    return (sp.eye(n, format="csr") - E @ R)[:, master], E, rows[~alone]
-
-
-def _substitution_core(Q, A, b, c):
-    """(u, multipliers, path, iterations, factor_nnz) over u = Z w + E c of
-    :func:`_eliminate`: Jacobi-preconditioned CG on Z^T Q Z w = Z^T (b - Q E c)
-    (``substitution_cg``, :class:`SolverError` after ``CG_MAX_ITERATIONS``), or
-    :func:`_saddle_core` on it under the leftover rows A_l of A: A_l Z w = c_l - A_l E c.
-    """
-    Z, E, left = _eliminate(A)
-    z0, Al = E @ c, A[left]
-    Qw, bw = Z.T @ Q @ Z, Z.T @ (b - Q @ z0)
-    if left.size:
-        w, lam, path, iterations, factor_nnz = _saddle_core(Qw, Al @ Z, bw, c[left] - Al @ z0)
-    else:
-        (w, iterations), lam, path, factor_nnz = _jacobi_cg(Qw, bw), [], "substitution_cg", 0
-    u = Z @ w + z0
-    multipliers = E.T @ (b - Q @ u)
-    multipliers[left] = lam
-    return u, multipliers, path, iterations, factor_nnz
+    return (sp.eye(n, format="csr") - E @ R)[:, master], E, np.setdiff1d(np.arange(m), alone)
 
 
 def _jacobi_cg(K, rhs):
@@ -261,14 +237,17 @@ def _as_fixed_arrays(fixed, N):
     return idx, vals
 
 
-def _constrained_solve(Q, b, A, c, fixed, core):
+def _constrained_solve(Q, b, A, c, fixed, substitute):
     """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
 
-    Fixed indices are eliminated by substitution, and rows of A that repeat
-    an earlier row up to sign are dropped: they are counted in
-    ``dropped_rows`` and get a zero multiplier. ``core(Qff, Af, bf, cf)``
-    solves the reduced problem and returns (u, multipliers, path,
-    iterations, factor_nnz). Inconsistent rows raise :class:`SolverError`.
+    Fixed indices are eliminated by substitution. Empty rows and rows that
+    repeat an earlier row up to sign are dropped, counted in ``dropped_rows``
+    and given a zero multiplier. With ``substitute``, u = Z w + E c over
+    :func:`_eliminate`, and Jacobi CG solves Z^T Q Z w = Z^T (b - Q E c) when no
+    row is left over (``substitution_cg``). Otherwise :class:`_SaddleSolver`
+    solves that under the leftover rows A_l Z w = c_l - A_l E c or, with no row
+    substituted (Z is None, always so without ``substitute``), Q under the rows
+    as they are. Inconsistent rows raise :class:`SolverError`.
     """
     Q = sp.csr_matrix(Q)
     N = Q.shape[0]
@@ -284,10 +263,27 @@ def _constrained_solve(Q, b, A, c, fixed, core):
 
     c_shift = c - (A[:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
     Qff = Q[free][:, free]
-    bf = b[free] - (Q[free][:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0)
+    bf = (b - (Q[:, fixed_idx] @ fixed_vals if fixed_idx.size else 0.0))[free]
     Af = A[:, free]
     keep = _distinct_rows(Af)
-    u[free], lam_keep, path, iterations, factor_nnz = core(Qff, Af[keep], bf, c_shift[keep])
+    Af, cf = Af[keep], c_shift[keep]
+    Z, E, left = _eliminate(Af) if substitute else (None, None, np.arange(len(keep)))
+    Qw, bw, B, cB = Qff, bf, Af, cf
+    if Z is not None:
+        z0, Al = E @ cf, Af[left]
+        Qw, bw, B, cB = Z.T @ Qff @ Z, Z.T @ (bf - Qff @ z0), Al @ Z, cf[left] - Al @ z0
+    if substitute and not left.size:
+        (w, iterations), lam, path, factor_nnz = _jacobi_cg(Qw, bw), [], "substitution_cg", 0
+    else:
+        saddle = _SaddleSolver(Qw, B)
+        w, lam = np.split(saddle.solve(np.concatenate([bw, cB])), [Qw.shape[0]])
+        path, iterations, factor_nnz = saddle.path, 0, saddle.factor_nnz
+    if Z is None:
+        u[free], lam_keep = w, lam
+    else:
+        u[free] = Z @ w + z0
+        lam_keep = E.T @ (bf - Qff @ u[free])
+        lam_keep[left] = lam
     lam = np.zeros(A.shape[0])
     lam[keep] = lam_keep
 
@@ -314,11 +310,11 @@ def solve_kkt(Q, b=None, A=None, c=None, fixed=()):
     """Minimize 1/2 u^T Q u - b^T u subject to A u = c and fixed values.
 
     Fixed indices are eliminated by substitution, and the saddle system is
-    solved by :class:`_SaddleSolver`. Rows dropped as repeats of earlier
-    rows are counted in ``dropped_rows`` and get a zero multiplier.
-    Inconsistent rows raise :class:`SolverError`.
+    solved by :class:`_SaddleSolver`. Empty rows and rows dropped as repeats
+    of earlier rows are counted in ``dropped_rows`` and get a zero
+    multiplier. Inconsistent rows raise :class:`SolverError`.
     """
-    return _constrained_solve(Q, b, A, c, fixed, _saddle_core)
+    return _constrained_solve(Q, b, A, c, fixed, substitute=False)
 
 
 def coupling_for_mode(domain, mode):
@@ -347,13 +343,13 @@ def _load_vector(domain, rhs):
 
 def _coupled_solve(domain, quad, mode, rhs, alpha=None):
     """Minimize the form L, or M + alpha L, against load M rhs, coupled by
-    ``mode``, with the domain's Dirichlet values, by :func:`_substitution_core`.
+    ``mode``, with the domain's Dirichlet values, by substitution (:func:`_eliminate`).
     """
     L, M = assemble_global(domain, quad)
     cs, Amat = coupling_for_mode(domain, mode)
     f = _load_vector(domain, rhs)
     Q = L if alpha is None else M + alpha * L
-    report = _constrained_solve(Q, M @ f, Amat, None, domain.pins, _substitution_core)
+    report = _constrained_solve(Q, M @ f, Amat, None, domain.pins, substitute=True)
     return replace(report, offsets=domain.offsets, constraints=cs)
 
 
@@ -488,7 +484,9 @@ def constrained_modes(L, M, A, k):
     sigma = -L.diagonal().sum() / (M.diagonal().sum() * N)
     A = A[_distinct_rows(A)]
     Z, _, leftover = _eliminate(A)
-    B = A[leftover] @ Z
+    K, B = L - sigma * M, A
+    if Z is not None:
+        K, M, B = Z.T @ K @ Z, Z.T @ M @ Z, A[leftover] @ Z
     m, n = B.shape
     if k >= n - m:
         raise SolverError("%d modes need more than the %d degrees of freedom left" % (k, n - m))
@@ -496,14 +494,15 @@ def constrained_modes(L, M, A, k):
     # Neumann constant mode); the Lanczos basis cannot outgrow the free dimension.
     v0 = np.random.default_rng(0).uniform(-1.0, 1.0, n + m)
     from scipy.sparse.linalg import ArpackError, LinearOperator, eigsh
-    saddle = _SaddleSolver(Z.T @ (L - sigma * M) @ Z, B)
+    saddle = _SaddleSolver(K, B)
     OPinv = LinearOperator((n + m,) * 2, matvec=saddle.solve, dtype=float)
     try:
         # In shift-invert mode eigsh reads only the shape and dtype of its first argument.
         vals, vecs = eigsh(
-            OPinv, k, M=sp.block_diag([Z.T @ M @ Z, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
+            OPinv, k, M=sp.block_diag([M, sp.csr_matrix((m, m))]), sigma=sigma, v0=v0,
             OPinv=OPinv, ncv=min(n - m, max(2 * k + 1, 20)),
         )
     except ArpackError as exc:
         raise SolverError("eigensolver failed: %s" % exc) from None
-    return [(float(vals[i]), Z @ vecs[:n, i]) for i in np.argsort(vals)]
+    vecs = vecs[:n] if Z is None else Z @ vecs[:n]
+    return [(float(vals[i]), vecs[:, i]) for i in np.argsort(vals)]

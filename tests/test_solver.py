@@ -87,6 +87,37 @@ class TestSolveKkt:
         assert rep.dropped_rows == 1
         assert len(rep.multipliers) == 2 and rep.multipliers[1] == 0.0
 
+    @staticmethod
+    def mixed_segment(n=21):
+        """solve_kkt of the mixed system [0 -L^T; -L -M] on an n-vertex segment,
+        u and z pinned at both ends, under one row s (u_5 - u_6) = 0 per scale
+        s given. A zero on Q's diagonal sends it to saddle_lu."""
+        L, M = assemble_global(DeconstructedDomain([generate_segment(0.0, 1.0, n)]), QUAD)
+        Q = sp.bmat([[None, -L.T], [-L, -M]])
+        b = np.concatenate([M @ np.ones(n), np.zeros(n)])
+        fixed = [(v, 0.0) for v in (0, n - 1, n, 2 * n - 1)]
+        row = np.eye(2 * n)[5] - np.eye(2 * n)[6]
+        return lambda *scales: solve_kkt(Q, b, sp.csr_matrix(np.outer(scales, row)), fixed=fixed)
+
+    def test_empty_row_is_dropped_from_the_factorization(self):
+        # Kept in the saddle matrix, an empty row would make it singular and
+        # send it on to saddle_lu_eps.
+        solve = self.mixed_segment()
+        ref, rep = solve(1.0), solve(1.0, 0.0)
+        assert ref.path == rep.path == "saddle_lu"
+        assert rep.dropped_rows == 1 and rep.multipliers[1] == 0.0
+        np.testing.assert_array_equal(rep.u, ref.u)
+
+    def test_dependent_row_takes_saddle_lu_eps(self):
+        # The rows are distinct but dependent: SuperLU finds K exactly singular,
+        # and the shifted K_eps splits the multiplier between them.
+        solve = self.mixed_segment()
+        ref, rep = solve(1.0), solve(1.0, 2.0)
+        assert ref.path == "saddle_lu" and rep.path == "saddle_lu_eps"
+        assert rep.dropped_rows == 0
+        assert_close(rep.u, ref.u)
+        np.testing.assert_allclose(rep.multipliers @ [1.0, 2.0], ref.multipliers[0], rtol=1e-9)
+
     def test_inconsistent_rows_rejected(self):
         Q = sp.diags([2.0, 2.0])
         A = sp.csr_matrix(np.array([[1.0, 1.0], [1.0, 1.0]]))
@@ -101,7 +132,7 @@ class TestSolveKkt:
 
 
 def distinct_rows_loop(A):
-    """Reference for solver._distinct_rows: one bytes key per row."""
+    """Reference for solver._distinct_rows: one bytes key per row; empty rows are skipped."""
     A = sp.csr_matrix(A, copy=True)
     A.eliminate_zeros()
     A.sort_indices()
@@ -113,7 +144,7 @@ def distinct_rows_loop(A):
         if vals.size and vals[0] < 0:
             vals = -vals
         key = (A.indices[lo:hi].tobytes(), vals.tobytes())
-        if key not in seen:
+        if vals.size and key not in seen:
             seen.add(key)
             keep.append(r)
     return np.array(keep, dtype=np.int64)
@@ -495,6 +526,20 @@ class TestSolvePaths:
         rep = solve_poisson(pinned_segments(), QUAD, "none")
         assert rep.path == "substitution_cg" and rep.iterations > 0
 
+    def test_all_leftover_rows_solve_the_whole_system(self):
+        # No all_vertices row has a pivot of its own, so nothing is substituted
+        # and the factorization sees the rows and Q as solve_kkt does. The fill
+        # depends on SuperLU's version (139,980 entries with SciPy 1.17).
+        domain = build_scenario(ExperimentConfig("annulus2d_laplace"), 2).domain
+        rep = solve_poisson(domain, QUAD, "all_vertices", rhs=0.0)
+        ref = saddle_reference(domain, "all_vertices", lambda L, M: L,
+                               np.zeros(domain.total_vertices))
+        assert rep.path == ref.path == "saddle_qd"
+        assert rep.factor_nnz == ref.factor_nnz > 0
+        assert rep.dropped_rows == ref.dropped_rows == 444
+        np.testing.assert_array_equal(rep.u, ref.u)
+        np.testing.assert_array_equal(rep.multipliers, ref.multipliers)
+
     def test_floating_subdomain_takes_saddle_qd(self):
         # The rows that share a target are left over; the others are substituted.
         domain = floating_segments()
@@ -521,7 +566,7 @@ class TestSolvePaths:
 
     @pytest.mark.parametrize("c", [0.0, 1.0])
     def test_empty_row_constrains_nothing(self, c):
-        # Only a direct call brings an empty row to the substitution core: every
+        # Only a direct call brings an empty row to a substitution solve: every
         # coupling row keeps its +1 on an unpinned target. The feasibility check
         # on all rows still rejects c != 0 there.
         domain = pinned_segments()
@@ -531,7 +576,7 @@ class TestSolvePaths:
         b, rows = M @ np.ones(domain.total_vertices), np.r_[np.zeros(A.shape[0] - 1), c]
 
         def solve():
-            return solver._constrained_solve(L, b, A, rows, domain.pins, solver._substitution_core)
+            return solver._constrained_solve(L, b, A, rows, domain.pins, substitute=True)
 
         if c:
             with pytest.raises(SolverError, match="infeasible"):
@@ -634,7 +679,7 @@ class TestSolvePaths:
 
 
 class TestJacobiCg:
-    """The substitution core's CG against scipy.sparse.linalg.cg with the
+    """The CG of substitution_cg against scipy.sparse.linalg.cg with the
     same Jacobi preconditioner: the same iteration count, and the same w up
     to rounding (the arithmetic is the same, but is not pinned to the bit)."""
 
