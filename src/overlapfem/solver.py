@@ -71,7 +71,8 @@ class SolveReport:
     constraints: object = None
     dropped_rows: int = 0
     # "substitution_cg" (no row left over), else the saddle factorization's, of Q and the rows
-    # or of the reduced system: "saddle_qd" (diag Q > 0), "saddle_lu" or "saddle_lu_eps"
+    # or of the reduced system: "saddle_qd" (diag Q > 0), "saddle_lu" (after saddle_qd
+    # failed) or "saddle_lu_eps" (a zero on Q's diagonal)
     path: str = None
     iterations: int = 0  # CG iterations of substitution_cg; 0 on the saddle factorizations
     factor_nnz: int = 0  # stored entries of L and U behind the solution; 0 on substitution_cg
@@ -108,42 +109,39 @@ class _SaddleSolver:
     """Solver for the saddle matrix K = [Q A^T; A 0]; the rows of A are distinct
     (:func:`_distinct_rows`).
 
-    When every diagonal entry of Q is positive, the factor is of the
-    quasi-definite K_eps = [Q A^T; A -eps I], with diagonal pivots in a
-    symmetric minimum-degree order (``saddle_qd``). Such a matrix has a
-    stable symmetric factorization in every symmetric order when Q is
-    definite (Vanderbei, SIAM J. Optim. 5, 1995; Gill, Saunders & Shinnerl,
-    SIAM J. Matrix Anal. Appl. 17, 1996), and refinement against K removes
-    eps. Otherwise (a zero on Q's diagonal, as in both bi-Laplace solvers)
-    K is factorized with SuperLU's default column order and partial pivoting
-    (``saddle_lu``), and if that fails, or its residual check does
-    (dependent rows remain), K_eps in the same way (``saddle_lu_eps``). K_eps
-    is nonsingular when Q is definite on null(A) (Benzi, Golub & Liesen,
-    Acta Numerica 14, 2005, section 3). A quasi-definite factorization that
-    fails falls back to the same sequence. ``solve(rhs)`` refines against K
-    and raises :class:`SolverError` when the residual stays large.
+    The factor is of K_eps = [Q A^T; A -eps I], which is nonsingular when Q
+    is definite on null(A) (Benzi, Golub & Liesen, Acta Numerica 14, 2005,
+    section 3). When every diagonal entry of Q is positive, K_eps is
+    quasi-definite and is factorized with diagonal pivots in a symmetric
+    minimum-degree order (``saddle_qd``): such a matrix has a stable
+    factorization in every symmetric order when Q is definite (Vanderbei,
+    SIAM J. Optim. 5, 1995; Gill, Saunders & Shinnerl, SIAM J. Matrix Anal.
+    Appl. 17, 1996). If that fails, K is factorized with SuperLU's default
+    column order and partial pivoting (``saddle_lu``). A diagonal entry that
+    is not positive (a zero, in both bi-Laplace solvers) gets one such
+    factorization, of K_eps (``saddle_lu_eps``). ``solve(rhs)`` refines
+    against K and raises :class:`SolverError` when the residual stays above
+    ``FEASIBILITY_TOL`` of the right-hand side.
     """
 
     def __init__(self, Q, A):
         self.K = sp.bmat([[Q, A.T], [A, None]], format="csc")
-        self.m = A.shape[0]
         diagonal = Q.diagonal()
         eps = 1e-10 * (float(np.abs(diagonal).max(initial=0.0)) or 1.0)
-        # (path, multiplier shift, splu options)
-        self._attempts = [("saddle_lu", 0.0, {}), ("saddle_lu_eps", eps, {})]
+        shift = np.r_[np.zeros(Q.shape[0]), np.full(A.shape[0], eps)]
+        K_eps = self.K - sp.diags(shift, format="csc")
+        # (path, the matrix it factorizes, splu options)
         if (diagonal > 0).all():
-            self._attempts.insert(0, ("saddle_qd", eps, _QUASI_DEFINITE))
+            self._attempts = [("saddle_qd", K_eps, _QUASI_DEFINITE), ("saddle_lu", self.K, {})]
+        else:
+            self._attempts = [("saddle_lu_eps", K_eps, {})]
         self._lu = None
 
     def solve(self, rhs):
         scale = max(1.0, float(np.abs(rhs).max(initial=0.0)))
         while self._attempts or self._lu is not None:
             if self._lu is None:
-                self.path, shift, options = self._attempts.pop(0)
-                K = self.K
-                if shift:
-                    diag = np.r_[np.zeros(K.shape[0] - self.m), np.full(self.m, shift)]
-                    K = K - sp.diags(diag, format="csc")
+                self.path, K, options = self._attempts.pop(0)
                 from scipy.sparse.linalg import splu
                 try:
                     self._lu = splu(K, **options)
@@ -151,7 +149,7 @@ class _SaddleSolver:
                     continue
                 self.factor_nnz = self._lu.nnz
             x, residual = self._refined(rhs, scale)
-            if np.isfinite(x).all() and residual <= 1e-7 * scale:
+            if np.isfinite(x).all() and residual <= FEASIBILITY_TOL * scale:
                 self._attempts.clear()
                 return x
             self._lu = None

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import scipy.sparse as sp
 
-from overlapfem import MeshError, SimplicialMesh
+from overlapfem import DeconstructedDomain, MeshError, SimplicialMesh
 from overlapfem.fem import _hat_gradients
 from overlapfem.geometry import CONTAINMENT_TOL, locate_points, simplex_coordinates
 from overlapfem.mesh import _boundary_facet_array, _polar_grid_triangles
@@ -149,6 +149,16 @@ def kuhn_box(n, x0=0.0):
     boxmesh = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(boxmesh)
     return SimplicialMesh(3, *boxmesh.cube_arrays(x0, n))
+
+
+def three_kuhn_boxes():
+    """Kuhn boxes (0, 4), (0.5, 6) and (0.25, 4), u pinned to 0 on x = 0 and
+    x = 1.5. Its 446 distinct boundary-only rows on the free vertices have
+    rank 304, so every bi-Laplace saddle matrix K of it is singular."""
+    meshes = [kuhn_box(4), kuhn_box(6, 0.5), kuhn_box(4, 0.25)]
+    pins = [(k, int(v), 0.0) for k, mesh in enumerate(meshes)
+            for v in np.flatnonzero(np.isin(mesh.vertices[:, 0], (0.0, 1.5)))]
+    return DeconstructedDomain(meshes, pins)
 
 
 def generate_disk(radius, n_r, n_t, theta_offset=0.0, center=(0.0, 0.0)):

@@ -201,7 +201,8 @@ class TestThreeAnnuli:
         assert orders.min() >= 1.8
 
     def test_all_vertices_stagnates(self):
-        # Measured: 7.16e-2 and 7.19e-2. At m = 1 the solve is infeasible.
+        # Measured: 7.16e-2 and 7.19e-2. At m = 1 the solve raises "singular KKT
+        # system of order 3240": its 1,944 rows have rank 1,296.
         _, errors = self.sweep("all_vertices", (2, 4))
         assert errors[1] >= 0.9 * errors[0]
 

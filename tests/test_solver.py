@@ -1,3 +1,7 @@
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -29,12 +33,21 @@ from overlapfem import (
     solve_poisson,
 )
 from overlapfem import harness, solver
-from overlapfem.solver import BILAPLACE_COUPLINGS, coupling_for_mode
+from overlapfem.solver import BILAPLACE_COUPLINGS, FEASIBILITY_TOL, coupling_for_mode
 from test_geometry import MESHES
-from reference import saddle_pencil_modes
+from reference import saddle_pencil_modes, three_kuhn_boxes
 
 QUAD = QuadratureSpec.corner_average()
 DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture
+def splu_calls(monkeypatch):
+    """The matrices passed to scipy.sparse.linalg.splu while the test runs."""
+    calls = []
+    monkeypatch.setattr(scipy.sparse.linalg, "splu",
+                        lambda K, **kwargs: calls.append(K) or splu(K, **kwargs))
+    return calls
 
 
 class TestSolveKkt:
@@ -77,13 +90,10 @@ class TestSolveKkt:
         two = solve_kkt(Q, b, sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]])))
         np.testing.assert_allclose(two.u, one.u, rtol=0.0, atol=1e-12)
 
-    def test_reciprocal_rows_factorize_once(self, monkeypatch):
-        calls = []
-        monkeypatch.setattr(scipy.sparse.linalg, "splu",
-                            lambda K, **kwargs: calls.append(K) or splu(K, **kwargs))
+    def test_reciprocal_rows_factorize_once(self, splu_calls):
         A = sp.csr_matrix(np.array([[1.0, -1.0], [-1.0, 1.0]]))
         rep = solve_kkt(sp.diags([2.0, 2.0]), np.array([2.0, 4.0]), A)
-        assert len(calls) == 1
+        assert len(splu_calls) == 1
         assert rep.dropped_rows == 1
         assert len(rep.multipliers) == 2 and rep.multipliers[1] == 0.0
 
@@ -91,7 +101,7 @@ class TestSolveKkt:
     def mixed_segment(n=21):
         """solve_kkt of the mixed system [0 -L^T; -L -M] on an n-vertex segment,
         u and z pinned at both ends, under one row s (u_5 - u_6) = 0 per scale
-        s given. A zero on Q's diagonal sends it to saddle_lu."""
+        s given. A zero on Q's diagonal sends it to saddle_lu_eps."""
         L, M = assemble_global(DeconstructedDomain([generate_segment(0.0, 1.0, n)]), QUAD)
         Q = sp.bmat([[None, -L.T], [-L, -M]])
         b = np.concatenate([M @ np.ones(n), np.zeros(n)])
@@ -100,23 +110,29 @@ class TestSolveKkt:
         return lambda *scales: solve_kkt(Q, b, sp.csr_matrix(np.outer(scales, row)), fixed=fixed)
 
     def test_empty_row_is_dropped_from_the_factorization(self):
-        # Kept in the saddle matrix, an empty row would make it singular and
-        # send it on to saddle_lu_eps.
+        # Kept in the saddle matrix, an empty row would add a multiplier that
+        # only the -eps of K_eps determines.
         solve = self.mixed_segment()
         ref, rep = solve(1.0), solve(1.0, 0.0)
-        assert ref.path == rep.path == "saddle_lu"
+        assert ref.path == rep.path == "saddle_lu_eps"
         assert rep.dropped_rows == 1 and rep.multipliers[1] == 0.0
         np.testing.assert_array_equal(rep.u, ref.u)
 
-    def test_dependent_row_takes_saddle_lu_eps(self):
-        # The rows are distinct but dependent: SuperLU finds K exactly singular,
-        # and the shifted K_eps splits the multiplier between them.
+    def test_dependent_row_takes_saddle_lu_eps(self, splu_calls):
+        # The rows are distinct but dependent, so K is singular. Each solve
+        # factorizes K_eps once, and K_eps splits the multiplier between them.
         solve = self.mixed_segment()
         ref, rep = solve(1.0), solve(1.0, 2.0)
-        assert ref.path == "saddle_lu" and rep.path == "saddle_lu_eps"
+        assert len(splu_calls) == 2
+        assert ref.path == rep.path == "saddle_lu_eps"
         assert rep.dropped_rows == 0
         assert_close(rep.u, ref.u)
         np.testing.assert_allclose(rep.multipliers @ [1.0, 2.0], ref.multipliers[0], rtol=1e-9)
+
+    def test_singular_system_factorizes_once(self, splu_calls):
+        with pytest.raises(SolverError, match="singular KKT system of order 2"):
+            solve_kkt(sp.diags([1.0, 0.0]), [1.0, 1.0])
+        assert len(splu_calls) == 1
 
     def test_inconsistent_rows_rejected(self):
         Q = sp.diags([2.0, 2.0])
@@ -283,6 +299,44 @@ class TestBilaplace:
         scale = np.abs(kkt.u).max()
         assert np.abs(kkt.u - convex.u).max() <= 1e-8 * scale
         np.testing.assert_allclose(convex.z, kkt.z, atol=1e-6 * scale)
+
+    # The convex solver's K_eps stays singular on dependent rows: they leave
+    # lam_z free, and -eps I shifts only the multiplier block.
+    THREE_BOXES = """
+from overlapfem import QuadratureSpec, SolverError, solve_bilaplace, solve_bilaplace_convex
+from reference import three_kuhn_boxes
+domain, quad = three_kuhn_boxes(), QuadratureSpec.barycenter()
+for coupling in ("value_only", "high_order"):
+    solve_bilaplace(domain, quad, coupling, load=1.0)
+try:
+    solve_bilaplace_convex(domain, quad, load=1.0)
+except SolverError as exc:
+    print(exc)
+"""
+
+    def test_three_boxes_factorize_k_eps_once(self, splu_calls):
+        # An unshifted LU of the singular K can crash SuperLU, after it prints
+        # "On entry to DTRSV parameter number 6 had an illegal value" to stdout,
+        # so the whole sequence runs in a fresh process first.
+        tests = Path(__file__).parent
+        paths = [str(tests.parent / "src"), str(tests), os.environ.get("PYTHONPATH")]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, paths))}
+        run = subprocess.run([sys.executable, "-X", "faulthandler", "-c", self.THREE_BOXES],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert re.fullmatch(r"singular KKT system of order \d+", run.stdout.strip()), run.stdout
+        domain = three_kuhn_boxes()
+        x = domain.stacked_vertices()[:, 0]
+        exact = (x**4 - 3 * x**3 + 3.375 * x) / 24
+        errors = []
+        for coupling in ("value_only", "high_order"):
+            splu_calls.clear()
+            rep = solve_bilaplace(domain, QuadratureSpec.barycenter(), coupling, load=1.0)
+            assert len(splu_calls) == 1 and rep.path == "saddle_lu_eps", coupling
+            assert rep.constraint_residual <= FEASIBILITY_TOL, coupling
+            errors.append(np.abs(rep.u - exact).max())
+        # Measured: 5.25e-2 (value_only) and 6.24e-3 (high_order).
+        assert errors[1] <= 1e-2 and 5 * errors[1] <= errors[0]
 
 
 def floating_segments(n=31):
@@ -656,10 +710,10 @@ class TestSolvePaths:
         s = domain.stacked_vertices()[:, 0]
         np.testing.assert_allclose(rep.u, s * (1 - s) / 2, atol=1e-12)
 
-    def test_bilaplace_takes_saddle_lu_and_penalty_takes_saddle_qd(self, monkeypatch):
+    def test_bilaplace_takes_saddle_lu_eps_and_penalty_takes_saddle_qd(self, monkeypatch):
         domain = pinned_segments()
-        assert solve_bilaplace(domain, QUAD, "high_order", load=24.0).path == "saddle_lu"
-        assert solve_bilaplace_convex(domain, QUAD, load=24.0).path == "saddle_lu"
+        assert solve_bilaplace(domain, QUAD, "high_order", load=24.0).path == "saddle_lu_eps"
+        assert solve_bilaplace_convex(domain, QUAD, load=24.0).path == "saddle_lu_eps"
         paths = []
 
         def recording(*args, **kwargs):
@@ -732,8 +786,8 @@ def random_qp(seed, n, zero_block):
     zero_block, Q is zero on its trailing k rows and columns (k at most
     n / 6), which are never fixed, and the new rows are dense, at least 2k of
     them and no more than the free values. The saddle matrix is then
-    nonsingular and well conditioned: SuperLU's partial-pivoting LU of an
-    exactly singular one can crash the process.
+    nonsingular and well conditioned: u is unique, as the comparison with
+    the dense solution needs.
     """
     rng = np.random.default_rng(seed)
     G = rng.uniform(-1.0, 1.0, (n, n))
@@ -801,7 +855,7 @@ class TestQuasiDefinite:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30))
     @pytest.mark.parametrize("zero_block", [False, True])
     def test_matches_dense_kkt_property(self, zero_block, seed, n):
-        # A zero on Q's diagonal keeps the partial-pivoting LU and its eps retry.
+        # A zero on Q's diagonal sends K_eps to the partial-pivoting LU.
         Q, b, A, c, fixed = random_qp(seed, n, zero_block)
         rep = solve_kkt(Q, b, A, c, fixed=fixed)
         if zero_block:
