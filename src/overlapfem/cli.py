@@ -1,6 +1,7 @@
 """Command-line entry point: converge / probe / modes / constraints / solve."""
 
 import argparse
+import gc
 import sys
 from pathlib import Path
 
@@ -86,5 +87,12 @@ def main(argv=None):
         return 2
 
 
+def entry(argv=None):
+    """Process entry: :func:`main`, then ``gc.freeze()``, so exit's collections skip the heap."""
+    status = main(argv)
+    gc.freeze()
+    return status
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(entry())

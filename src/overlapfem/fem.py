@@ -138,7 +138,9 @@ def _hat_gradients(mesh):
 def _element_points(mesh, bary):
     """Physical quadrature points per element, nudged toward the centroid."""
     corners = mesh.vertices[mesh.simplices]  # (t, d+1, d)
-    pts = np.einsum("qj,tjd->tqd", bary, corners)
+    # The corner rule's points are the gathered corners themselves.
+    corner_rule = np.array_equal(bary, np.eye(mesh.dim + 1))
+    pts = corners if corner_rule else np.einsum("qj,tjd->tqd", bary, corners)
     centroid = corners.mean(axis=1, keepdims=True)
     del corners
     # pts + nudge (centroid - pts), formed in place: + and * commute exactly.

@@ -67,8 +67,8 @@ class PointLocator:
         hi += pad
         del pad, slack
         self.lo, self.hi = lo, hi
-        self.origin = lo.min(axis=1)
-        span = hi.max(axis=1) - self.origin
+        self.origin, self.top = lo.min(axis=1), hi.max(axis=1)
+        span = self.top - self.origin
         longest = np.sort(span)[::-1]
         for k in range(d, 0, -1):
             self.cell = (np.prod(longest[:k]) / t) ** (1.0 / k)
@@ -164,7 +164,8 @@ def other_coverage_counts(domain, k, points):
     1996), and each point is checked against the simplex found. A point that
     passes would be located by a search too, so only the points that fail,
     or whose element found no simplex, get a search of their own; the counts
-    equal those of one search per point.
+    equal those of one search per point. With q > 1, an element with no point
+    in the span of a mesh's padded simplex boxes is not searched in that mesh.
     """
     points = np.asarray(points, dtype=float)
     grouped = points[:, None] if points.ndim == 2 else points
@@ -176,14 +177,17 @@ def other_coverage_counts(domain, k, points):
         if q == 1:
             counts[:, 0] += locate_points(tree, grouped[:, 0]) >= 0
             continue
-        found = locate_points(tree, grouped.mean(axis=1))
+        spanned = (grouped >= tree.origin) & (grouped <= tree.top)
+        near = np.flatnonzero(spanned.all(axis=2).any(axis=1))
+        near_points = grouped[near]
+        found = locate_points(tree, near_points.mean(axis=1))
         hit = np.flatnonzero(found >= 0)
-        inside = np.zeros((t, q), dtype=bool)
-        inside[hit] = _contained(tree.mesh, grouped[hit].reshape(-1, d),
+        inside = np.zeros((len(near), q), dtype=bool)
+        inside[hit] = _contained(tree.mesh, near_points[hit].reshape(-1, d),
                                  np.repeat(found[hit], q)).reshape(-1, q)
         rest = ~inside
-        inside[rest] = locate_points(tree, grouped[rest]) >= 0
-        counts += inside
+        inside[rest] = locate_points(tree, near_points[rest]) >= 0
+        counts[near] += inside
     return counts.reshape(points.shape[:-1])
 
 

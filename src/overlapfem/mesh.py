@@ -46,7 +46,7 @@ class SimplicialMesh:
     Simplices are re-oriented to positive signed measure on construction;
     degenerate or out-of-range simplices raise :class:`MeshError`. Every stage
     reads this one geometry pass: the positive measures in ``measures`` and,
-    cached on first use, the inverse edge matrices in ``edge_inverses``.
+    formed with the measures, the inverse edge matrices in ``edge_inverses``.
     """
 
     dim: int
@@ -79,32 +79,28 @@ class SimplicialMesh:
             raise MeshError("vertex %d is not referenced by any simplex" % int(np.argmin(used)))
         # Orient consistently, then reject degenerate elements.
         e = self.edges()
-        signed = np.einsum("ti,ti->t", _adjugates(e)[:, 0], e[:, 0]) / math.factorial(self.dim)
+        adj = _adjugates(e)
+        signed = np.einsum("ti,ti->t", adj[:, 0], e[:, 0]) / math.factorial(self.dim)
         flip = signed < 0
         if flip.any():
             self.simplices = self.simplices.copy()
             self.simplices[flip, -2:] = self.simplices[flip, -2:][:, ::-1]
             signed = np.abs(signed)
+            adj[flip] = _adjugates(self.edges()[flip])
         thresh = DEGENERACY_FACTOR * self.bbox_diagonal() ** self.dim
         if (signed <= thresh).any():
             bad = int(np.argmax(signed <= thresh))
             raise MeshError("simplex %d is degenerate (measure %g)" % (bad, signed[bad]))
         signed.flags.writeable = False
-        self.measures = signed
+        # Inverse edge matrices (edges as columns): row j is corner j+1's hat gradient.
+        adj /= math.factorial(self.dim) * signed[:, None, None]
+        self.measures, self.edge_inverses = signed, adj
 
     def edges(self):
         """Edge vectors x_j - x_0 of every simplex, shape (t, d, d); row j-1 is edge j."""
         e = np.take(self.vertices, self.simplices[:, 1:], axis=0)  # faster than v[s]
         e -= np.take(self.vertices, self.simplices[:, :1], axis=0)
         return e
-
-    @cached_property
-    def edge_inverses(self):
-        """Inverse edge matrices (edges as columns), shape (t, d, d), as adjugate
-        over determinant; row j is the gradient of corner j+1's hat function."""
-        inv = _adjugates(self.edges())
-        inv /= math.factorial(self.dim) * self.measures[:, None, None]
-        return inv
 
     @property
     def num_vertices(self):
@@ -139,16 +135,19 @@ def _adjugates(e):
 def _boundary_facet_array(mesh):
     """Boundary facets as rows of sorted vertex indices, in lexicographic order.
 
-    Each sorted facet is keyed by one int64, v0 n^(d-1) + ... + v(d-1) with
-    n the vertex count, so a 1-D unique finds the facets used once; the key
-    order is the lexicographic row order. The key fits while n^d < 2^63.
+    Each simplex is sorted once, which leaves every facet sorted. A facet is
+    keyed by one int64, v0 n^(d-1) + ... + v(d-1) with n the vertex count, so
+    one sort of the keys finds the facets used once, and the key order is the
+    lexicographic row order. The key fits while n^d < 2^63.
     """
     d, n = mesh.dim, mesh.num_vertices
     drop = np.array(list(combinations(range(d + 1), d)), dtype=np.int64)
-    facets = np.sort(mesh.simplices[:, drop].reshape(-1, d), axis=1)
-    keys = facets @ (n ** np.arange(d - 1, -1, -1, dtype=np.int64))
-    _, first, counts = np.unique(keys, return_index=True, return_counts=True)
-    return facets[first[counts == 1]]
+    powers = n ** np.arange(d - 1, -1, -1, dtype=np.int64)
+    keys = (np.sort(mesh.simplices, axis=1)[:, drop] @ powers).ravel()
+    keys.sort()
+    repeat = keys[1:] == keys[:-1]
+    once = keys[np.r_[~repeat, True] & np.r_[True, ~repeat]]
+    return np.stack([once // p % n for p in powers], axis=1)
 
 
 def boundary_vertices(mesh):
@@ -380,4 +379,5 @@ def generate_annulus(r_in, r_out, n_r, n_t, theta_offset=0.0):
     theta = theta_offset + 2 * np.pi * np.arange(n_t) / n_t
     rr, tt = np.meshgrid(radii, theta, indexing="ij")
     vertices = np.column_stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()])
-    return SimplicialMesh(2, vertices, _polar_grid_triangles(n_r, n_t))
+    # Counter-clockwise, as construction would re-orient them: none is flipped.
+    return SimplicialMesh(2, vertices, _polar_grid_triangles(n_r, n_t)[:, [0, 2, 1]])

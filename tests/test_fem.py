@@ -229,8 +229,9 @@ class TestGroupedCoverage:
     def test_one_search_per_element_plus_failed_checks(self):
         # Box 1 covers x >= 0.5 of box 0 with the same grid. There each element
         # of box 0 lies in one element of box 1, and its nudged corners pass
-        # the check against it. The elements at x < 0.5 find no simplex, and
-        # their q corners are searched point by point.
+        # the check against it, so no corner gets a search of its own. The
+        # elements at x < 0.5 lie wholly outside box 1's padded simplex boxes
+        # and are not searched at all.
         a = kuhn_box(8)
         dom = DeconstructedDomain([a, kuhn_box(8, 0.5)])
         t, q = a.num_simplices, 4
@@ -243,7 +244,7 @@ class TestGroupedCoverage:
 
         with mock.patch.object(geometry, "locate_points", counted):
             adjusted_volumes(dom, 0, QuadratureSpec.corner_average())
-            assert sizes == [t, q * outside]  # q t = 12,288 points before
+            assert sizes == [t - outside, 0]  # q t = 12,288 points before
             sizes.clear()
             # One point per element: one search each, never a second.
             adjusted_volumes(dom, 0, QuadratureSpec.barycenter())

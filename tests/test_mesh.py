@@ -2,6 +2,7 @@ import math
 import re
 from collections import Counter
 from itertools import combinations
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,7 +24,8 @@ from overlapfem import (
     save_mesh,
     solve_poisson,
 )
-from overlapfem.mesh import _polar_grid_triangles, _read_blocks, _read_tokens
+from overlapfem import mesh as mesh_module
+from overlapfem.mesh import _adjugates, _polar_grid_triangles, _read_blocks, _read_tokens
 from overlapfem.solver import coupling_for_mode
 from reference import boundary_facets, generate_disk, submesh
 from test_geometry import MESHES
@@ -370,6 +372,28 @@ class TestClosedFormGeometry:
         inv = np.linalg.inv(np.swapaxes(edges, 1, 2))
         err = np.abs(mesh.edge_inverses - inv).max(axis=(1, 2))
         assert (err <= 1e-12 * np.abs(inv).max(axis=(1, 2))).all()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    def test_one_adjugate_pass_unless_flipped(self, dim):
+        # The adjugates of the orientation check become the inverse edge
+        # matrices; only the flipped simplices' are formed again.
+        def expected_inverses(mesh):
+            return _adjugates(mesh.edges()) / (math.factorial(dim) * mesh.measures[:, None, None])
+
+        adjugates = mock.Mock(side_effect=_adjugates)
+        with mock.patch.object(mesh_module, "_adjugates", adjugates):
+            mesh = random_simplices(dim, seed=dim, exponent=0.0)
+        input_order = np.arange(mesh.simplices.size).reshape(mesh.simplices.shape)
+        assert (mesh.simplices != input_order).any()  # randomly oriented: some were flipped
+        assert adjugates.call_count == 2
+        assert len(adjugates.call_args_list[1].args[0]) < mesh.num_simplices
+        assert mesh.edge_inverses.tobytes() == expected_inverses(mesh).tobytes()
+        if dim == 2:  # a generated annulus comes counter-clockwise: nothing to flip
+            adjugates.reset_mock()
+            with mock.patch.object(mesh_module, "_adjugates", adjugates):
+                mesh = generate_annulus(1.0, 2.0, 4, 24)
+            assert adjugates.call_count == 1
+            assert mesh.edge_inverses.tobytes() == expected_inverses(mesh).tobytes()
 
     def test_measures_are_read_only_and_inverses_cached(self):
         mesh = generate_disk(1.0, 3, 8)

@@ -1,4 +1,5 @@
 import ast
+import gc
 import importlib
 import json
 import os
@@ -11,6 +12,7 @@ from pathlib import Path
 import pytest
 
 import overlapfem
+from overlapfem import cli
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(overlapfem.__path__))
 
@@ -108,6 +110,61 @@ def test_substitution_commands_do_not_load_the_factorization_stack(tmp_path):
     assert imported == solved == sparse
     if all(sparse):
         pytest.skip("this SciPy's scipy.sparse already imports scipy.sparse.linalg")
+
+
+# Run the CLI's __main__ block in a fresh interpreter, as `python -m
+# overlapfem.cli` does, and print its exit status and how many objects the
+# process entry froze.
+ENTRY = """
+import gc, runpy, sys
+sys.argv = ["overlapfem"] + sys.argv[1:]
+try:
+    runpy.run_module("overlapfem.cli", run_name="__main__", alter_sys=True)
+except SystemExit as exc:
+    print(exc.code, gc.get_freeze_count())
+"""
+
+
+def test_process_entry_freezes_the_heap_after_main(tmp_path, capsys):
+    data = Path(__file__).parent / "data"
+    good, bad, out = tmp_path / "solve.cfg", tmp_path / "bad.cfg", tmp_path / "u.csv"
+    good.write_text(
+        "scenario = custom\nmesh_files = %s,%s\ndirichlet = 0:0:1,1:0:2\noutput = %s\n"
+        % (data / "box_a.dmesh", data / "box_b.dmesh", out)
+    )
+    bad.write_text("scenario = custom\nmesh_files = %s\n" % (data / "box_a.dmesh"))
+    env = dict(os.environ, PYTHONPATH=str(Path(overlapfem.__file__).parents[1]))
+
+    def entry(config):
+        run = subprocess.run([sys.executable, "-c", ENTRY, "solve", str(config)],
+                             capture_output=True, text=True, env=env, timeout=120)
+        status, frozen = map(int, run.stdout.split())
+        return status, frozen, run.stderr
+
+    status, frozen, stderr = entry(good)
+    assert (status, stderr) == (0, "")
+    assert frozen > 0
+    fresh = out.read_bytes()
+    out.unlink()
+    before = gc.get_freeze_count()
+    assert cli.main(["solve", str(good)]) == 0
+    assert gc.get_freeze_count() == before  # main itself leaves the collector alone
+    assert out.read_bytes() == fresh
+
+    status, _, stderr = entry(bad)
+    assert cli.main(["solve", str(bad)]) == status == 1
+    assert capsys.readouterr().err == stderr != ""
+
+    # The installed script runs the same entry as the __main__ block.
+    (script,) = re.findall(r'^overlapfem = "overlapfem\.cli:(\w+)"$',
+                           (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text(),
+                           re.M)
+    tree = ast.parse(Path(cli.__file__).read_text())
+    (block,) = [stmt for stmt in tree.body if isinstance(stmt, ast.If)
+                and ast.unparse(stmt.test) == "__name__ == '__main__'"]
+    called = [node.func.id for node in ast.walk(block)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)]
+    assert called == [script]
 
 
 def test_readme_python_blocks_run():
